@@ -11,6 +11,7 @@
 #include "core/report.h"
 #include "core/session_factory.h"
 #include "faults/fault_plan.h"
+#include "services/content_factory.h"
 
 namespace vodx::batch {
 
@@ -111,6 +112,10 @@ SweepResult run_sweep(const SweepConfig& config) {
   factory.wall_budget = config.cell_wall_budget;
   factory.max_events_per_instant = config.cell_max_events_per_instant;
 
+  // Cells of one title share one immutable origin build while any of them
+  // is in flight (DESIGN.md §14).
+  services::ContentCache content;
+
   std::mutex progress_mutex;
   std::size_t done = 0;
 
@@ -181,6 +186,9 @@ SweepResult run_sweep(const SweepConfig& config) {
                 static_cast<std::uint64_t>(cell.cell.origin_index));
           }
           if (config.prepare) config.prepare(cell.cell, session);
+          // Keyed after prepare: the hook may edit the spec or durations.
+          session.content = content.get(services::ContentKey(
+              session.spec, session.content_duration, session.content_seed));
           if (!observers.empty()) {
             // A retry must not fold the aborted attempt's counters into the
             // final snapshot; give the cell a fresh observer.

@@ -10,11 +10,13 @@
 //   * Ordered aggregation: results are collected into grid order
 //     (service-major, then profile, then seed), so serialized output from
 //     `--jobs N` is byte-identical to `--jobs 1`.
-//   * Isolation: every cell builds its own net::Simulator, origin, proxy,
-//     player and (optionally) obs::Observer. Nothing mutable is shared
-//     across cells; the only cross-thread state is the engine's own work
-//     cursor. Shared inputs (services::catalog(), profile definitions) are
-//     immutable after initialisation and are warmed before workers spawn.
+//   * Isolation: every cell builds its own net::Simulator, proxy, player
+//     and (optionally) obs::Observer. Nothing mutable is shared across
+//     cells; the only cross-thread state is the engine's own work cursor
+//     and its services::ContentCache. Shared inputs (services::catalog(),
+//     profile definitions, origin content built through the cache) are
+//     immutable after construction; the catalog and profiles are warmed
+//     before workers spawn.
 //   * Failure containment: a cell that cannot run (bad profile id, config
 //     error, session exception) yields a CellResult with ok=false and its
 //     coordinates; the rest of the grid still runs.

@@ -244,8 +244,9 @@ class SyncFetcher {
   explicit SyncFetcher(const services::ServiceSpec& spec)
       : sim_(0.01),
         link_(sim_, net::BandwidthTrace::constant(20 * kMbps, 3600), 0.03),
-        origin_(services::make_origin(spec, 600, 42)),
-        proxy_(origin_),
+        origin_(services::make_shared_origin(
+            services::ContentKey(spec, 600, 42))),
+        proxy_(*origin_),
         client_(sim_, link_, proxy_, options()) {}
 
   static http::HttpClient::Options options() {
@@ -262,12 +263,12 @@ class SyncFetcher {
     return *out;
   }
 
-  const http::OriginServer& origin() const { return origin_; }
+  const http::OriginServer& origin() const { return *origin_; }
 
  private:
   net::Simulator sim_;
   net::Link link_;
-  http::OriginServer origin_;
+  std::shared_ptr<const http::OriginServer> origin_;
   http::Proxy proxy_;
   http::HttpClient client_;
 };

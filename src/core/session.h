@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,6 +38,10 @@ struct SessionConfig {
   Seconds tick = 0.01;
   Seconds rtt = 0.07;
   std::uint64_t content_seed = 42;
+  /// Prebuilt, shared origin content (services::ContentCache). It must be
+  /// what services::make_origin(ContentKey(spec, content_duration,
+  /// content_seed)) builds; null = the session builds its own.
+  std::shared_ptr<const http::OriginServer> content;
 
   /// Simulator advancement core. kEvent (default) skips provably-inert grid
   /// ticks; kFixedTickReference executes every tick — the retained reference

@@ -59,9 +59,12 @@ player::PlayerConfig player_config_for(const SessionConfig& config) {
 HostedSession::HostedSession(net::Simulator& sim, net::Link& link,
                              const SessionConfig& config)
     : qoe_options_(config.qoe_options),
-      origin_(services::make_origin(config.spec, config.content_duration,
-                                    config.content_seed)),
-      proxy_(origin_),
+      origin_(config.content != nullptr
+                  ? config.content
+                  : services::make_shared_origin(services::ContentKey(
+                        config.spec, config.content_duration,
+                        config.content_seed))),
+      proxy_(*origin_),
       player_(sim, link, proxy_, config.spec.protocol,
               player_config_for(config)) {
   // The origin tier goes first: its cache can short-circuit the whole chain
@@ -95,7 +98,7 @@ HostedSession::HostedSession(net::Simulator& sim, net::Link& link,
   });
 }
 
-void HostedSession::start() { player_.start(origin_.manifest_url()); }
+void HostedSession::start() { player_.start(origin_->manifest_url()); }
 
 void HostedSession::stop() { player_.stop(); }
 

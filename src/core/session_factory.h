@@ -74,6 +74,8 @@ struct SessionFactory {
 /// a Link carrying this session's own trace; the population runner builds
 /// one Simulator per tower and attaches many sessions to the tower's shared
 /// Link. `config.trace` is ignored here — the Link already embodies it.
+/// The origin is `config.content` when set, shared with every other session
+/// of the same title; otherwise the session builds a private copy.
 ///
 /// Lifecycle: construct (wires everything, registers tick clients), then
 /// start(); the session advances as the caller runs the simulator. stop()
@@ -125,7 +127,7 @@ class HostedSession {
 
  private:
   QoeOptions qoe_options_;
-  http::OriginServer origin_;
+  std::shared_ptr<const http::OriginServer> origin_;
   http::Proxy proxy_;
   std::shared_ptr<origin::OriginTier> origin_tier_;
   std::shared_ptr<faults::FaultInjector> injector_;

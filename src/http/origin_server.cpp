@@ -194,8 +194,12 @@ void OriginServer::build_smooth() {
         const std::uint64_t ticks = static_cast<std::uint64_t>(std::llround(
             track.segment_start(s.index) *
             static_cast<double>(manifest::kSmoothTimescale)));
-        media_segments_["/" + stream.fragment_url(track.declared_bitrate(),
-                                                  ticks)] = s.size;
+        const std::string fragment =
+            stream.fragment_url(track.declared_bitrate(), ticks);
+        std::string url;
+        url.reserve(fragment.size() + 1);
+        url.append("/").append(fragment);
+        media_segments_[std::move(url)] = s.size;
       }
     }
     manifest.stream_indexes.push_back(std::move(stream));

@@ -17,6 +17,7 @@
 // client (which has the app's key) can.
 #pragma once
 
+#include <compare>
 #include <map>
 #include <string>
 
@@ -38,6 +39,8 @@ struct OriginConfig {
   /// the direction §4.2 says HLS is moving in. (None of the 12 studied
   /// services used it, so it defaults off.)
   bool hls_byterange = false;
+
+  auto operator<=>(const OriginConfig&) const = default;
 };
 
 /// XOR-scramble stand-in for app-layer manifest encryption.

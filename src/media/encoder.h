@@ -12,6 +12,7 @@
 //    segments exceed it (Fig. 5, S1/S2).
 #pragma once
 
+#include <compare>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,6 +36,8 @@ struct EncoderConfig {
   double average_policy_peak = 1.5;
   /// Relative size jitter for kCbr segments.
   double cbr_jitter = 0.03;
+
+  auto operator<=>(const EncoderConfig&) const = default;
 };
 
 /// Encodes one video track. `declared_bitrate` is what the manifest will

@@ -195,7 +195,7 @@ std::string metrics_json(const MetricsSnapshot& snapshot) {
   for (const MetricsSnapshot::Entry& entry : snapshot.entries) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(entry.name) + "\":";
+    out.append("\"").append(json_escape(entry.name)).append("\":");
     switch (entry.type) {
       case MetricsSnapshot::Type::kCounter:
         out += format("{\"type\":\"counter\",\"count\":%lld}",

@@ -16,6 +16,7 @@
 #include "obs/profiler.h"
 #include "player/player.h"
 #include "pop/pop_timeline.h"
+#include "services/content_factory.h"
 #include "services/service_catalog.h"
 #include "trace/cellular_profiles.h"
 
@@ -172,6 +173,10 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
   if (with_origin) origin_state = std::make_shared<origin::OriginState>();
   const std::uint64_t tower_content_seed = batch::derive_seed(
       config.seed, kContentTag, static_cast<std::uint64_t>(tower_index));
+  // Sessions of one title share one immutable origin build. The cache is
+  // the tower's own and the tower runs on one thread, so the build count
+  // does not depend on --jobs.
+  services::ContentCache content;
 
   struct Hosted {
     std::unique_ptr<core::HostedSession> session;
@@ -202,6 +207,9 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
           net::BandwidthTrace());  // the shared link already embodies it
       session_config.content_seed =
           config.shared_content ? tower_content_seed : arr.content_seed;
+      session_config.content = content.get(services::ContentKey(
+          session_config.spec, session_config.content_duration,
+          session_config.content_seed));
       session_config.tick = config.tick;
       session_config.rtt = config.rtt;
       if (with_origin) {
@@ -283,6 +291,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
   TowerReport report;
   report.profile_id = profile_id;
   report.capped_arrivals = capped;
+  report.content_builds = content.builds();
   report.peak_concurrent = peak;
   report.time_of_peak = peak_time;
 
@@ -389,6 +398,7 @@ PopulationReport run_population(const PopulationConfig& config) {
   report.origin_enabled = config.origin.mode != origin::Mode::kNone;
   for (const TowerReport& tower : report.towers) {
     report.total_sessions += tower.sessions;
+    report.content_builds += tower.content_builds;
     report.timeline.merge_from(tower.timeline);
     report.diag.merge_from(tower.diag);
     report.origin_totals.merge_from(tower.origin_totals);

@@ -149,6 +149,8 @@ struct TowerReport {
   /// distributions describe a censored population, so every exporter
   /// surfaces this count rather than truncating silently.
   int capped_arrivals = 0;
+  /// Origin content builds: one per distinct title the tower hosted.
+  int content_builds = 0;
   int peak_concurrent = 0;
   /// Simulated time the peak was first reached (0 when no session arrived).
   Seconds time_of_peak = 0;
@@ -180,6 +182,8 @@ struct PopulationReport {
   std::vector<TowerReport> towers;  ///< tower-index order
   int total_sessions = 0;
   int never_started = 0;  ///< sessions whose playback never began
+  /// Sum of the towers' content builds; no exporter prints it.
+  int content_builds = 0;
   QuantileSummary startup;
   QuantileSummary stall;
   std::vector<ServiceRollup> by_service;  ///< service-pool order

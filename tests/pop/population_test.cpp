@@ -121,6 +121,33 @@ TEST(PopulationDeterminism, JobsOneAndEightAreByteIdentical) {
   EXPECT_GT(serial.total_sessions, 0);
 }
 
+TEST(PopulationDeterminism, ContentBuildsIndependentOfJobs) {
+  PopulationConfig config = small_config();
+  config.shared_content = true;
+  config.jobs = 1;
+  const PopulationReport serial = run_population(config);
+  config.jobs = 4;
+  const PopulationReport threaded = run_population(config);
+  EXPECT_EQ(serial.content_builds, threaded.content_builds);
+  int sum = 0;
+  for (std::size_t t = 0; t < serial.towers.size(); ++t) {
+    EXPECT_EQ(serial.towers[t].content_builds,
+              threaded.towers[t].content_builds);
+    sum += serial.towers[t].content_builds;
+  }
+  EXPECT_EQ(serial.content_builds, sum);
+  // One title per service per tower, however many sessions watch it.
+  EXPECT_GT(serial.content_builds, 0);
+  EXPECT_LE(serial.content_builds,
+            static_cast<int>(config.towers.size() * config.services.size()));
+  EXPECT_LT(serial.content_builds, serial.total_sessions);
+
+  // Per-session titles: every session builds its own.
+  config.shared_content = false;
+  const PopulationReport distinct = run_population(config);
+  EXPECT_EQ(distinct.content_builds, distinct.total_sessions);
+}
+
 TEST(Population, OutcomesCoverEveryArrivalAndFoldSanely) {
   PopulationConfig config = small_config();
   config.towers = {7};
