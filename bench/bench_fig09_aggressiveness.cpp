@@ -18,7 +18,7 @@ int main() {
   const double bandwidths_mbps[] = {0.5, 0.75, 1.0, 1.5,
                                     2.0, 2.5,  3.0, 3.5};
 
-  std::vector<std::string> header{"bw (Mbps)"};
+  std::vector<Table::Column> header{"bw (Mbps)"};
   for (const char* n : names) header.push_back(n);
   Table table(header);
 

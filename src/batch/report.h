@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "batch/grouping.h"
 #include "batch/sweep.h"
 
 namespace vodx::batch {
@@ -23,7 +24,8 @@ struct Rollup {
   obs::MetricsSnapshot metrics;
 };
 
-struct SweepMetrics {
+/// overall + by_service / by_profile / by_fault (batch/grouping.h).
+struct SweepMetrics : Grouped<Rollup> {
   int total_cells = 0;
   int failed = 0;
   int quarantined = 0;  ///< subset of failed: wall-budget quarantines
@@ -36,10 +38,6 @@ struct SweepMetrics {
   /// the text/HTML reports render these as explicit WARNING rows.
   std::uint64_t trace_dropped = 0;
   std::vector<std::string> dropped_cells;
-  Rollup overall;                  ///< key "overall"
-  std::vector<Rollup> by_service;  ///< spec name, grid order
-  std::vector<Rollup> by_profile;  ///< "profile <id>", grid order
-  std::vector<Rollup> by_fault;    ///< scenario name, grid order
 };
 
 /// Folds every successful cell's snapshot in grid order. Cells without
@@ -57,8 +55,10 @@ std::string report_text(const SweepMetrics& metrics);
 std::string report_jsonl(const SweepResult& result,
                          const SweepMetrics& metrics);
 
-/// Self-contained HTML page (inline CSS, no external assets) with the same
-/// content as report_text, as real tables.
-std::string report_html(const SweepMetrics& metrics);
+/// Self-contained HTML page (common/table.h html_page) with the same
+/// content as report_text, as real tables; `appendix` (e.g. the root-cause
+/// section of `vodx report --diag`) goes at the end of the body.
+std::string report_html(const SweepMetrics& metrics,
+                        const std::string& appendix = "");
 
 }  // namespace vodx::batch

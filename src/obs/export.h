@@ -43,7 +43,4 @@ std::string metrics_report(const MetricsSnapshot& snapshot);
 /// the sweep report JSONL compare and embed exactly this string.
 std::string metrics_json(const MetricsSnapshot& snapshot);
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string json_escape(const std::string& raw);
-
 }  // namespace vodx::obs

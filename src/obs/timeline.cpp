@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/strings.h"
+#include "common/table.h"
 
 namespace vodx::obs {
 
@@ -99,35 +100,34 @@ Timeline merge(const Timeline& a, const Timeline& b) {
   return out;
 }
 
-std::string timeline_csv(const Timeline& timeline) {
-  std::string out = "bin,t_start_s";
+namespace {
+
+Table timeline_table(const Timeline& timeline) {
+  std::vector<Table::Column> columns = {Table::Column::number("bin"),
+                                        Table::Column::number("t_start_s")};
   for (const Timeline::Series& series : timeline.all()) {
-    out += ',';
-    out += series.name;
+    columns.push_back(Table::Column::number(series.name));
   }
-  out += '\n';
+  Table table(std::move(columns));
   for (int bin = 0; bin < timeline.bin_count(); ++bin) {
-    out += format("%d,%.3f", bin, timeline.bin_start(bin));
+    std::vector<std::string> row = {format("%d", bin),
+                                    format("%.3f", timeline.bin_start(bin))};
     for (const Timeline::Series& series : timeline.all()) {
-      out += format(",%.6g", series.bins[static_cast<std::size_t>(bin)]);
+      row.push_back(format("%.6g", series.bins[static_cast<std::size_t>(bin)]));
     }
-    out += '\n';
+    table.add_row(std::move(row));
   }
-  return out;
+  return table;
+}
+
+}  // namespace
+
+std::string timeline_csv(const Timeline& timeline) {
+  return timeline_table(timeline).csv();
 }
 
 std::string timeline_jsonl(const Timeline& timeline) {
-  std::string out;
-  for (int bin = 0; bin < timeline.bin_count(); ++bin) {
-    out += format(R"({"bin":%d,"t_start_s":%.3f)", bin,
-                  timeline.bin_start(bin));
-    for (const Timeline::Series& series : timeline.all()) {
-      out += format(R"(,"%s":%.6g)", series.name.c_str(),
-                    series.bins[static_cast<std::size_t>(bin)]);
-    }
-    out += "}\n";
-  }
-  return out;
+  return timeline_table(timeline).jsonl();
 }
 
 }  // namespace vodx::obs

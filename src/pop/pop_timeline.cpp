@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/strings.h"
+#include "common/table.h"
 #include "diag/cause.h"
 #include "pop/population.h"
 
@@ -181,53 +182,47 @@ void for_each_row(const PopulationReport& report,
   if (!report.timeline.empty()) fn("pop", report.timeline);
 }
 
+/// Every exported bin as one row keyed by tower. The merged timeline
+/// carries the union schema; its series order is the canonical column order
+/// for every row.
+Table timeline_table(const PopulationReport& report) {
+  const obs::Timeline& schema = report.timeline;
+  std::vector<Table::Column> columns = {"tower",
+                                        Table::Column::number("bin"),
+                                        Table::Column::number("t_start_s")};
+  for (const obs::Timeline::Series& series : schema.all()) {
+    columns.push_back(Table::Column::number(series.name));
+  }
+  columns.push_back(Table::Column::number("stalled_frac"));
+  columns.push_back(Table::Column::number("utilization"));
+  Table table(std::move(columns));
+  for_each_row(report, [&](const std::string& key,
+                           const obs::Timeline& timeline) {
+    for (int bin = 0; bin < timeline.bin_count(); ++bin) {
+      std::vector<std::string> row = {key, std::to_string(bin),
+                                      format("%.3f", timeline.bin_start(bin))};
+      for (const obs::Timeline::Series& series : schema.all()) {
+        const int index = timeline.find(series.name);
+        row.push_back(
+            format("%.6g", index >= 0 ? timeline.value(index, bin) : 0.0));
+      }
+      const DerivedBin derived = derived_bin(timeline, bin);
+      row.push_back(format("%.6g", derived.stalled_frac));
+      row.push_back(format("%.6g", derived.utilization));
+      table.add_row(std::move(row));
+    }
+  });
+  return table;
+}
+
 }  // namespace
 
 std::string population_timeline_csv(const PopulationReport& report) {
-  // The merged timeline carries the union schema; its series order is the
-  // canonical column order for every row.
-  const obs::Timeline& schema = report.timeline;
-  std::string out = "tower,bin,t_start_s";
-  for (const obs::Timeline::Series& series : schema.all()) {
-    out += ',';
-    out += series.name;
-  }
-  out += ",stalled_frac,utilization\n";
-  for_each_row(report, [&](const std::string& key,
-                           const obs::Timeline& timeline) {
-    for (int bin = 0; bin < timeline.bin_count(); ++bin) {
-      out += format("%s,%d,%.3f", key.c_str(), bin, timeline.bin_start(bin));
-      for (const obs::Timeline::Series& series : schema.all()) {
-        const int index = timeline.find(series.name);
-        out += format(",%.6g", index >= 0 ? timeline.value(index, bin) : 0.0);
-      }
-      const DerivedBin derived = derived_bin(timeline, bin);
-      out += format(",%.6g,%.6g\n", derived.stalled_frac, derived.utilization);
-    }
-  });
-  return out;
+  return timeline_table(report).csv();
 }
 
 std::string population_timeline_jsonl(const PopulationReport& report) {
-  const obs::Timeline& schema = report.timeline;
-  std::string out;
-  for_each_row(report, [&](const std::string& key,
-                           const obs::Timeline& timeline) {
-    for (int bin = 0; bin < timeline.bin_count(); ++bin) {
-      out += format(R"({"tower":"%s","bin":%d,"t_start_s":%.3f)", key.c_str(),
-                    bin, timeline.bin_start(bin));
-      for (const obs::Timeline::Series& series : schema.all()) {
-        const int index = timeline.find(series.name);
-        out += format(R"(,"%s":%.6g)", series.name.c_str(),
-                      index >= 0 ? timeline.value(index, bin) : 0.0);
-      }
-      const DerivedBin derived = derived_bin(timeline, bin);
-      out += format(R"(,"stalled_frac":%.6g,"utilization":%.6g})",
-                    derived.stalled_frac, derived.utilization);
-      out += '\n';
-    }
-  });
-  return out;
+  return timeline_table(report).jsonl();
 }
 
 namespace {
@@ -283,38 +278,37 @@ std::vector<double> derived_values(const obs::Timeline& timeline,
 }  // namespace
 
 std::string population_timeline_html(const PopulationReport& report) {
-  std::string out =
-      "<!doctype html>\n<html><head><meta charset=\"utf-8\">\n"
-      "<title>vodx population timeline</title>\n"
-      "<style>\n"
+  std::string body = format(
+      "<h2>Population timeline</h2>\n<p>%zu tower(s), bin width "
+      "%.3g s, %d bin(s)</p>\n",
+      report.towers.size(), report.timeline.bin_width(),
+      report.timeline.bin_count());
+  // Cells are inline SVG, not text, so this table is written by hand.
+  body += "<table>\n<tr><th>tower</th><th>concurrent</th>"
+          "<th>stalled frac</th><th>utilization</th><th>arrivals</th></tr>\n";
+  for_each_row(report, [&](const std::string& key,
+                           const obs::Timeline& timeline) {
+    body += "<tr><td>" + html_escape(key) + "</td>";
+    body += "<td>" + sparkline(series_values(timeline, "concurrent"),
+                               "#1565c0") + "</td>";
+    body += "<td>" + sparkline(derived_values(timeline, false), "#c62828") +
+            "</td>";
+    body += "<td>" + sparkline(derived_values(timeline, true), "#2e7d32") +
+            "</td>";
+    body += "<td>" + sparkline(series_values(timeline, "arrivals"),
+                               "#6a1b9a") + "</td></tr>\n";
+  });
+  body += "</table>\n";
+  return html_page(
+      "vodx population timeline",
       "body{font:13px/1.4 system-ui,sans-serif;margin:24px;color:#222}\n"
       "table{border-collapse:collapse}\n"
       "th,td{padding:4px 10px;text-align:left;vertical-align:middle;"
       "border-bottom:1px solid #e3e3e3}\n"
       "th{font-weight:600;color:#555}\n"
       ".spark{vertical-align:middle}\n"
-      ".peak{color:#888;font-size:11px;margin-left:4px}\n"
-      "</style></head><body>\n";
-  out += format("<h2>Population timeline</h2>\n<p>%zu tower(s), bin width "
-                "%.3g s, %d bin(s)</p>\n",
-                report.towers.size(), report.timeline.bin_width(),
-                report.timeline.bin_count());
-  out += "<table>\n<tr><th>tower</th><th>concurrent</th>"
-         "<th>stalled frac</th><th>utilization</th><th>arrivals</th></tr>\n";
-  for_each_row(report, [&](const std::string& key,
-                           const obs::Timeline& timeline) {
-    out += format("<tr><td>%s</td>", key.c_str());
-    out += "<td>" + sparkline(series_values(timeline, "concurrent"), "#1565c0") +
-           "</td>";
-    out += "<td>" + sparkline(derived_values(timeline, false), "#c62828") +
-           "</td>";
-    out += "<td>" + sparkline(derived_values(timeline, true), "#2e7d32") +
-           "</td>";
-    out += "<td>" + sparkline(series_values(timeline, "arrivals"), "#6a1b9a") +
-           "</td></tr>\n";
-  });
-  out += "</table>\n</body></html>\n";
-  return out;
+      ".peak{color:#888;font-size:11px;margin-left:4px}\n",
+      body);
 }
 
 }  // namespace vodx::pop
