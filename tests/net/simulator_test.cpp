@@ -54,16 +54,21 @@ TEST(Simulator, EventsScheduledFromEventsFire) {
 }
 
 TEST(Simulator, TickHandlersSeeTickDuration) {
+  // Wakes every tick, so no tick is ever skipped.
+  struct Counter : TickClient {
+    void tick(Seconds, Seconds dt) override {
+      ++ticks;
+      total += dt;
+    }
+    Seconds next_wake(Seconds now) override { return now; }
+    int ticks = 0;
+    Seconds total = 0;
+  } counter;
   Simulator sim(0.02);
-  int ticks = 0;
-  Seconds total = 0;
-  sim.on_tick([&](Seconds dt) {
-    ++ticks;
-    total += dt;
-  });
+  sim.add_tick_client(&counter);
   sim.run_until(1.0);
-  EXPECT_EQ(ticks, 50);
-  EXPECT_NEAR(total, 1.0, 1e-9);
+  EXPECT_EQ(counter.ticks, 50);
+  EXPECT_NEAR(counter.total, 1.0, 1e-9);
 }
 
 TEST(Simulator, RunForIsRelative) {
