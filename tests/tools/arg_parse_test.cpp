@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
+
 namespace vodx::tools {
 namespace {
 
@@ -123,6 +125,32 @@ TEST(ArgParse, IntListSkipsMalformedTokens) {
 TEST(ArgParse, IntListSupportsNegativeEndpointsViaDotDot) {
   const std::vector<std::int64_t> got = parse_int_list("-2..1", 0, 0, "delta");
   EXPECT_EQ(got, (std::vector<std::int64_t>{-2, -1, 0, 1}));
+}
+
+TEST(ArgParse, IntArgAcceptsWholeTokens) {
+  EXPECT_EQ(parse_int_arg("12", "--jobs"), 12);
+  EXPECT_EQ(parse_int_arg(" 0 ", "--max-sessions"), 0);
+  EXPECT_EQ(parse_int_arg("-3", "--delta", -5, 5), -3);
+}
+
+TEST(ArgParse, IntArgRejectsWhatAtoiWouldMisread) {
+  // atoi reads "abc" and "" as 0 and "12x" as 12; each is an error here.
+  for (const char* bad : {"abc", "12x", "", "1.5", "0x10"}) {
+    EXPECT_THROW(parse_int_arg(bad, "--max-sessions"), Error) << bad;
+  }
+}
+
+TEST(ArgParse, IntArgRejectsValuesOutsideItsRange) {
+  EXPECT_THROW(parse_int_arg("-3", "--max-sessions"), Error);
+  EXPECT_THROW(parse_int_arg("0", "--retries", 1), Error);
+  EXPECT_THROW(parse_int_arg("15", "profile", 1, 14), Error);
+  EXPECT_THROW(parse_int_arg("99999999999", "--jobs"), Error);
+  try {
+    parse_int_arg("12x", "--max-sessions");
+    FAIL() << "expected a throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--max-sessions"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 //
 //   Args args(argc, argv);
 //   while (!args.done()) {
-//     if (const char* v = args.value("--jobs")) jobs = std::atoi(v);
+//     if (const char* v = args.value("--out")) path = v;
 //     else if (args.flag("--progress")) progress = true;
 //     else if (const char* tok = args.positional()) use(tok);
 //     else args.unknown();
@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,15 @@ class Args {
   int i_ = 0;
   bool failed_ = false;
 };
+
+/// Strict whole-token integer for one flag value or positional argument:
+/// the token (surrounding blanks aside) must be an integer within
+/// [min, max]. "abc", "12x", "" and out-of-range values such as "-3" for a
+/// count throw vodx::Error naming `what`, instead of silently reading as 0
+/// or as their numeric prefix.
+std::int64_t parse_int_arg(const std::string& text, const char* what,
+                           std::int64_t min = 0,
+                           std::int64_t max = std::numeric_limits<int>::max());
 
 /// Expands "all", "3", "1-5" and comma-joined mixes of those into a list of
 /// integers; malformed tokens are reported to stderr and skipped. `what`
