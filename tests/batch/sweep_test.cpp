@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "common/strings.h"
 #include "testing/fixtures.h"
+#include "testing/json_lines.h"
 
 namespace vodx::batch {
 namespace {
@@ -152,6 +154,27 @@ TEST(SweepEngine, FullGridSpansCatalogAndProfiles) {
   EXPECT_EQ(config.profiles.size(),
             static_cast<std::size_t>(trace::kProfileCount));
   EXPECT_EQ(config.seeds, std::vector<std::uint64_t>{0});
+}
+
+TEST(SweepEngine, JsonlStaysOneValidObjectPerCellWhateverTheStrings) {
+  // A fault name with a quote fails its cells (unknown scenario) and is
+  // echoed in both the "fault" member and the error text; a prepare hook
+  // throws an error message spanning two lines.
+  SweepConfig config = small_grid({7});
+  config.fault_scenarios = {"none", "a\"b"};
+  config.prepare = [](const Cell& cell, core::SessionConfig&) {
+    if (cell.service_index == 1 && cell.fault_index == 0) {
+      throw Error("x\ny\t\"z\"\\");
+    }
+  };
+  const SweepResult result = run_sweep(config);
+  ASSERT_EQ(result.cells.size(), 4u);
+  EXPECT_EQ(result.failed, 3);
+  const std::string jsonl = sweep_jsonl(result);
+  EXPECT_EQ(testing::first_bad_jsonl_line(jsonl), "");
+  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 4);
+  EXPECT_NE(jsonl.find(R"("fault":"a\"b")"), std::string::npos);
+  EXPECT_NE(jsonl.find(R"("error":"x\ny\t\"z\"\\")"), std::string::npos);
 }
 
 }  // namespace

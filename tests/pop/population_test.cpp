@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.h"
 #include "services/service_catalog.h"
+#include "testing/json_lines.h"
 
 namespace vodx::pop {
 namespace {
@@ -176,6 +178,17 @@ TEST(Population, OutcomesCoverEveryArrivalAndFoldSanely) {
     rollup_total += rollup.sessions;
   }
   EXPECT_EQ(rollup_total, report.total_sessions);
+}
+
+TEST(Population, JsonlIsOneValidObjectPerTowerAndSession) {
+  PopulationConfig config = small_config();
+  config.diagnose = true;
+  config.diag_session_budget = 2;
+  const PopulationReport report = run_population(config);
+  const std::string jsonl = population_jsonl(report);
+  EXPECT_EQ(testing::first_bad_jsonl_line(jsonl), "");
+  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'),
+            static_cast<long>(report.towers.size()) + report.total_sessions);
 }
 
 TEST(Population, UnknownServiceAndBadProfileThrow) {
