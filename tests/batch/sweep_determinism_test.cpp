@@ -26,7 +26,7 @@ SweepConfig paper_grid(int jobs) {
 /// Everything observable about a session, serialized: QoE row, the inferred
 /// buffer timeline, and the ground-truth event counts.
 std::string session_fingerprint(const core::SessionResult& r) {
-  return core::qoe_csv_row("cell", r) + core::buffer_csv(r) +
+  return core::qoe_csv("cell", r) + core::buffer_csv(r) +
          format("replacements:%zu stalls:%zu displayed:%zu final:%.4f "
                 "end:%.4f start:%.4f",
                 r.events.replacements.size(), r.events.stalls.size(),

@@ -19,15 +19,15 @@ SessionResult sample_session() {
 
 TEST(Report, CsvRowMatchesHeaderArity) {
   SessionResult r = sample_session();
-  const std::string header = qoe_csv_header();
-  const std::string row = qoe_csv_row("x", r);
-  EXPECT_EQ(split(trim(header), ',').size(), split(trim(row), ',').size());
+  const std::vector<std::string> lines = split_lines(qoe_csv("x", r));
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(split(lines[0], ',').size(), split(lines[1], ',').size());
 }
 
 TEST(Report, CsvRowCarriesTheNumbers) {
   SessionResult r = sample_session();
-  const std::string row = qoe_csv_row("label", r);
-  std::vector<std::string> cells = split(std::string(trim(row)), ',');
+  const std::string row = split_lines(qoe_csv("label", r)).at(1);
+  std::vector<std::string> cells = split(row, ',');
   EXPECT_EQ(cells[0], "label");
   EXPECT_NEAR(parse_double(cells[1]), r.qoe.startup_delay, 0.01);
   EXPECT_NEAR(parse_double(cells[4]), r.qoe.average_declared_bitrate, 1);
