@@ -37,13 +37,14 @@ while [[ $# -gt 0 ]]; do
       ;;
     --tsan)
       # Thread-safety proof for the multi-threaded engines: build
-      # everything under ThreadSanitizer and run the batch/sweep suites
-      # plus the population runner (one worker thread per tower) and the
-      # content cache sweep workers share.
+      # everything under ThreadSanitizer and run the batch/sweep suites,
+      # the population runner (one worker thread per tower), the content
+      # cache sweep workers share, and the chaos engine (cells fan out over
+      # parallel_map and share the campaign config and its test hook).
       BUILD_DIR="${BUILD_DIR}-tsan"
       CMAKE_ARGS+=(-DVODX_SANITIZE=thread)
       export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-      NAME_FILTER='^(BatchPool|SweepEngine|SweepDeterminism|SeedSensitivity|FaultSweepDeterminism|PopulationDeterminism|PopulationTimeline|PopulationOriginStopRace|ContentCache)'
+      NAME_FILTER='^(BatchPool|SweepEngine|SweepDeterminism|SeedSensitivity|FaultSweepDeterminism|PopulationDeterminism|PopulationTimeline|PopulationOriginStopRace|ContentCache|ChaosEngine)'
       ;;
     --perfbench)
       PERFBENCH=1

@@ -57,6 +57,14 @@ std::uint64_t fault_seed_for(std::uint64_t sweep_seed, int service_index,
                      static_cast<std::uint64_t>(fault_index));
 }
 
+std::optional<faults::FaultPlan> fault_plan_for(const CellResult& cell) {
+  if (cell.fault == "none") return std::nullopt;
+  faults::FaultPlan plan = faults::scenario(cell.fault);
+  plan.seed = fault_seed_for(cell.seed, cell.cell.service_index,
+                             cell.cell.profile_index, cell.cell.fault_index);
+  return plan;
+}
+
 std::string CellResult::coordinates() const {
   std::string out =
       format("(%s, profile %d, seed %llu", service.c_str(), profile_id,
@@ -165,15 +173,9 @@ SweepResult run_sweep(const SweepConfig& config) {
           core::SessionConfig session =
               factory.config(spec, cell.profile_id, trace_seed_for(cell.seed),
                              content_seed_for(cell.seed));
-          if (cell.fault != "none") {
-            // Unknown scenario names throw ConfigError here and become a
-            // per-cell failure with coordinates, like a bad profile id.
-            faults::FaultPlan plan = faults::scenario(cell.fault);
-            plan.seed = fault_seed_for(cell.seed, cell.cell.service_index,
-                                       cell.cell.profile_index,
-                                       cell.cell.fault_index);
-            session.fault_plan = std::move(plan);
-          }
+          // Unknown scenario names throw ConfigError here and become a
+          // per-cell failure with coordinates, like a bad profile id.
+          session.fault_plan = fault_plan_for(cell);
           if (cell.origin != "none") {
             // Unknown modes throw ConfigError like unknown scenarios; the
             // jitter seed decorrelates across coordinates the same way the

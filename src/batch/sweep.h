@@ -27,10 +27,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/session.h"
+#include "faults/fault_plan.h"
 #include "obs/observer.h"
 #include "services/service_catalog.h"
 #include "trace/cellular_profiles.h"
@@ -110,6 +112,12 @@ struct CellResult {
   /// ", fault <name>" / ", origin <mode>" are appended when non-trivial.
   std::string coordinates() const;
 };
+
+/// The FaultPlan a cell runs under: its scenario, seeded by
+/// fault_seed_for(); nullopt for "none". Throws ConfigError on an unknown
+/// scenario name. The sweep engine and every post-hoc analysis (diag
+/// rollups, validation) derive a cell's plan here, so they always agree.
+std::optional<faults::FaultPlan> fault_plan_for(const CellResult& cell);
 
 struct SweepConfig {
   std::vector<services::ServiceSpec> services;

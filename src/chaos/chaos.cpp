@@ -15,6 +15,20 @@ namespace vodx::chaos {
 
 namespace {
 
+/// Per-instant event bound every chaos session runs under: a deterministic
+/// livelock detector, far above what a healthy session fires at one instant.
+constexpr std::uint64_t kMaxEventsPerInstant = 100000;
+
+/// Puts the campaign's watchdogs and simulator core on one session. Chaos
+/// cells, minimizer probes and replays all run through here.
+core::SessionConfig under_campaign(core::SessionConfig session,
+                                   const ChaosConfig& config) {
+  session.wall_budget = config.wall_budget;
+  session.max_events_per_instant = kMaxEventsPerInstant;
+  session.sim_core = config.sim_core;
+  return session;
+}
+
 /// First violation, rendered for the report's detail line.
 std::string first_violation(const InvariantReport& report) {
   if (report.violations.empty()) return "";
@@ -50,14 +64,10 @@ core::SessionConfig make_session(const std::string& service, int profile_id,
   return session;
 }
 
-CheckedRun run_checked(core::SessionConfig config,
-                       const CheckOptions& options) {
+CheckedRun run_checked(core::SessionConfig config, const TestHook& test_hook) {
   CheckedRun out;
   obs::Observer local;
   if (config.observer == nullptr) config.observer = &local;
-  config.wall_budget = options.wall_budget;
-  config.max_events_per_instant = options.max_events_per_instant;
-  config.sim_core = options.sim_core;
   try {
     out.result = core::run_session(config);
   } catch (const net::WatchdogError& e) {
@@ -74,9 +84,7 @@ CheckedRun run_checked(core::SessionConfig config,
     return out;
   }
   out.report = check_invariants(config, out.result, *config.observer);
-  if (options.test_hook) {
-    options.test_hook(config, out.result, *config.observer, out.report);
-  }
+  if (test_hook) test_hook(config, out.result, *config.observer, out.report);
   return out;
 }
 
@@ -101,12 +109,6 @@ ChaosReport run_chaos(const ChaosConfig& config) {
     if (id >= 1 && id <= trace::kProfileCount) trace::profile_mean(id);
   }
 
-  CheckOptions check;
-  check.wall_budget = config.wall_budget;
-  check.max_events_per_instant = config.max_events_per_instant;
-  check.sim_core = config.sim_core;
-  check.test_hook = config.test_hook;
-
   ChaosReport report;
   report.rows = batch::parallel_map<ChaosRow>(
       config.seeds.size(), config.jobs, [&](std::size_t index) {
@@ -123,10 +125,15 @@ ChaosReport run_chaos(const ChaosConfig& config) {
         row.faults = fault_count(plan);
         row.plan = plan_summary(plan);
 
-        const CheckedRun run = run_checked(
-            make_session(row.service, row.profile_id, config.duration, seed,
-                         plan, config.origin),
-            check);
+        const auto check = [&](const faults::FaultPlan& candidate) {
+          return run_checked(
+              under_campaign(make_session(row.service, row.profile_id,
+                                          config.duration, seed, candidate,
+                                          config.origin),
+                             config),
+              config.test_hook);
+        };
+        const CheckedRun run = check(plan);
         row.ok = run.ok();
         row.watchdog = run.watchdog;
 
@@ -158,18 +165,14 @@ ChaosReport run_chaos(const ChaosConfig& config) {
             original.insert(v.invariant);
           }
           const auto still_fails = [&](const faults::FaultPlan& candidate) {
-            const CheckedRun probe = run_checked(
-                make_session(row.service, row.profile_id, config.duration,
-                             seed, candidate, config.origin),
-                check);
+            const CheckedRun probe = check(candidate);
             if (probe.watchdog) return false;
             for (const Violation& v : probe.report.violations) {
               if (original.count(v.invariant) > 0) return true;
             }
             return false;
           };
-          const MinimizeResult shrunk =
-              minimize(plan, still_fails, config.minimize_options);
+          const MinimizeResult shrunk = minimize(plan, still_fails);
           row.minimized = true;
           row.minimized_faults = fault_count(shrunk.plan);
           row.minimize_runs = shrunk.runs;
@@ -188,12 +191,14 @@ ChaosReport run_chaos(const ChaosConfig& config) {
   return report;
 }
 
-CheckedRun replay(const ReproArtifact& artifact, const CheckOptions& options) {
-  return run_checked(make_session(artifact.service, artifact.profile_id,
+CheckedRun replay(const ReproArtifact& artifact, const ChaosConfig& config) {
+  return run_checked(
+      under_campaign(make_session(artifact.service, artifact.profile_id,
                                   artifact.duration, artifact.chaos_seed,
                                   artifact.plan,
                                   origin::parse_mode(artifact.origin_mode)),
-                     options);
+                     config),
+      config.test_hook);
 }
 
 std::string chaos_report_text(const ChaosReport& report) {

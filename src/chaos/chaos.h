@@ -37,20 +37,6 @@ using TestHook = std::function<void(const core::SessionConfig&,
                                     const core::SessionResult&,
                                     const obs::Observer&, InvariantReport&)>;
 
-struct CheckOptions {
-  /// Wall-clock budget per session; exceeded => the run is reported as a
-  /// watchdog abort (0 = no budget).
-  Seconds wall_budget = 0;
-  /// Max events fired at one simulated instant (0 = unbounded). Unlike the
-  /// wall budget this is fully deterministic.
-  std::uint64_t max_events_per_instant = 0;
-  /// Simulator core the session runs on. Fuzzing both cores with the same
-  /// pinned seed budget (chaos_smoke.sh) is the fuzz-scale differential
-  /// check: reports must be byte-identical across cores.
-  net::SimCore sim_core = net::SimCore::kEvent;
-  TestHook test_hook;
-};
-
 /// One session run under watchdogs + invariant checking.
 struct CheckedRun {
   bool watchdog = false;        ///< aborted by a watchdog (result invalid)
@@ -76,11 +62,12 @@ core::SessionConfig make_session(const std::string& service, int profile_id,
                                  const faults::FaultPlan& plan,
                                  origin::Mode origin = origin::Mode::kNone);
 
-/// Runs one session under the watchdogs in `options` and checks the
-/// invariant catalog. Forces an Observer (the evidence source) if the
-/// config doesn't carry one.
+/// Runs one session under the watchdogs and simulator core its config
+/// carries, checks the invariant catalog, then runs `test_hook` (if set).
+/// Forces an Observer (the evidence source) if the config doesn't carry
+/// one.
 CheckedRun run_checked(core::SessionConfig config,
-                       const CheckOptions& options = {});
+                       const TestHook& test_hook = {});
 
 struct ChaosConfig {
   std::vector<std::uint64_t> seeds;  ///< one cell per fuzz seed
@@ -97,12 +84,13 @@ struct ChaosConfig {
 
   /// Per-session wall-clock budget in seconds (0 = unlimited). Generous by
   /// default: a healthy 120 s sim session finishes in well under a second,
-  /// so the budget only ever fires on a genuine hang.
+  /// so the budget only ever fires on a genuine hang. A deterministic
+  /// per-instant event bound (livelock detector) always rides along.
   Seconds wall_budget = 60;
-  /// Per-instant event bound (livelock detector).
-  std::uint64_t max_events_per_instant = 100000;
 
-  /// Simulator core every cell runs on (see CheckOptions::sim_core).
+  /// Simulator core every cell runs on. Fuzzing both cores with the same
+  /// pinned seed budget (chaos_smoke.sh) is the fuzz-scale differential
+  /// check: reports must be byte-identical across cores.
   net::SimCore sim_core = net::SimCore::kEvent;
 
   /// Origin-tier preset every cell streams behind (kNone = no tier). Pair
@@ -111,9 +99,8 @@ struct ChaosConfig {
   origin::Mode origin = origin::Mode::kNone;
 
   bool minimize = true;  ///< shrink violating plans before emitting repros
-  MinimizeOptions minimize_options;
 
-  TestHook test_hook;  ///< forwarded to every cell's CheckOptions
+  TestHook test_hook;  ///< run after the catalog on every checked session
 };
 
 /// One row per fuzz seed, in seed order.
@@ -147,9 +134,11 @@ struct ChaosReport {
 /// => identical report.
 ChaosReport run_chaos(const ChaosConfig& config);
 
-/// Replays a repro artifact under the same derivations the engine used.
+/// Replays a repro artifact under the same derivations the engine used,
+/// with `config`'s watchdogs, simulator core and test hook (its seeds,
+/// pools, duration and origin are ignored: the artifact carries its own).
 CheckedRun replay(const ReproArtifact& artifact,
-                  const CheckOptions& options = {});
+                  const ChaosConfig& config = {});
 
 /// Human-readable fixed-width report; byte-stable (no wall-clock content).
 std::string chaos_report_text(const ChaosReport& report);

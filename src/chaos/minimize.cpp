@@ -77,6 +77,9 @@ faults::FaultPlan without(const faults::FaultPlan& plan, const FaultRef& ref) {
 
 using Oracle = std::function<bool(const faults::FaultPlan&)>;
 
+/// Binary-search depth per window edge in phase 2.
+constexpr int kNarrowSteps = 4;
+
 struct Budget {
   int remaining;
   int spent = 0;
@@ -130,11 +133,11 @@ bool try_keep(faults::FaultPlan& best, const Oracle& oracle, Budget& budget,
 /// edges. Works on whichever Match the fault carries; blackouts narrow
 /// their duration in phase 3 instead.
 void narrow_windows(faults::FaultPlan& best, const Oracle& oracle,
-                    Budget& budget, int steps, Seconds horizon) {
+                    Budget& budget, Seconds horizon) {
   const auto narrow = [&](auto member) {
     const std::size_t n = (best.*member).size();
     for (std::size_t i = 0; i < n && i < (best.*member).size(); ++i) {
-      for (int step = 0; step < steps && budget.remaining > 0; ++step) {
+      for (int step = 0; step < kNarrowSteps && budget.remaining > 0; ++step) {
         faults::Match& match = (best.*member)[i].match;
         const Seconds end = match.end < 0 ? horizon : match.end;
         const Seconds width = end - match.start;
@@ -208,10 +211,10 @@ std::size_t fault_count(const faults::FaultPlan& plan) {
 }
 
 MinimizeResult minimize(const faults::FaultPlan& plan, const Oracle& oracle,
-                        const MinimizeOptions& options) {
+                        int max_runs) {
   MinimizeResult result;
   result.plan = plan;
-  Budget budget{options.max_runs};
+  Budget budget{max_runs};
 
   // Horizon for open-ended windows: the latest explicit edge in the plan,
   // or a default fuzz horizon. Only used to give narrowing a finite end.
@@ -224,7 +227,7 @@ MinimizeResult minimize(const faults::FaultPlan& plan, const Oracle& oracle,
   }
 
   drop_faults(result.plan, oracle, budget, &result.dropped);
-  narrow_windows(result.plan, oracle, budget, options.narrow_steps, horizon);
+  narrow_windows(result.plan, oracle, budget, horizon);
   soften(result.plan, oracle, budget);
 
   result.runs = budget.spent;

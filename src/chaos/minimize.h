@@ -24,11 +24,6 @@
 
 namespace vodx::chaos {
 
-struct MinimizeOptions {
-  int max_runs = 64;   ///< oracle-call budget across all phases
-  int narrow_steps = 4;  ///< binary-search depth per window edge
-};
-
 struct MinimizeResult {
   faults::FaultPlan plan;  ///< smallest confirmed-failing plan found
   int runs = 0;            ///< oracle calls spent
@@ -39,12 +34,12 @@ struct MinimizeResult {
 std::size_t fault_count(const faults::FaultPlan& plan);
 
 /// Shrinks `plan` against `still_fails` (true = the candidate still
-/// triggers the violation being chased). `plan` itself must fail the
-/// oracle; the caller has already established that — minimize() does not
-/// re-verify it.
+/// triggers the violation being chased) in at most `max_runs` oracle calls
+/// across all phases. `plan` itself must fail the oracle; the caller has
+/// already established that — minimize() does not re-verify it.
 MinimizeResult minimize(const faults::FaultPlan& plan,
                         const std::function<bool(const faults::FaultPlan&)>&
                             still_fails,
-                        const MinimizeOptions& options = {});
+                        int max_runs = 64);
 
 }  // namespace vodx::chaos

@@ -15,17 +15,20 @@
 
 namespace vodx::chaos {
 
-/// Bounds for the generator. Defaults are sized for a 120-second session
-/// and deliberately include the nasty corners (zero-length windows, 100%
+/// Fixed generator bounds, sized for a 120-second session. They
+/// deliberately include the nasty corners (zero-length windows, 100%
 /// probabilities, sub-second blackouts back to back).
+inline constexpr int kMinFaults = 1;  ///< total faults per plan, inclusive
+inline constexpr int kMaxFaults = 5;
+/// LatencyFault base + jitter ceiling.
+inline constexpr Seconds kMaxLatency = 3.0;
+/// BlackoutFault / DcBlackoutFault duration ceiling.
+inline constexpr Seconds kMaxBlackout = 20;
+inline constexpr double kMinProbability = 0.05;
+inline constexpr double kMaxProbability = 1.0;
+
 struct GenOptions {
-  int min_faults = 1;   ///< total faults per plan, inclusive
-  int max_faults = 5;
-  Seconds horizon = 120;       ///< time windows are drawn inside [0, horizon)
-  Seconds max_latency = 3.0;   ///< LatencyFault base+jitter ceiling
-  Seconds max_blackout = 20;   ///< BlackoutFault duration ceiling
-  double min_probability = 0.05;
-  double max_probability = 1.0;
+  Seconds horizon = 120;  ///< time windows are drawn inside [0, horizon)
   /// Adds origin-targeted kinds (cache flushes, DC blackout windows) to the
   /// draw. Off by default: enabling it widens the kind die, so plans for a
   /// given seed differ from the origin-free stream — existing campaign seeds
@@ -33,9 +36,9 @@ struct GenOptions {
   bool origin_faults = false;
 };
 
-/// Deterministically expands `seed` into a FaultPlan within `options`'
-/// bounds. Pure: same (seed, options) -> byte-identical plan, on any
-/// machine, at any --jobs.
+/// Deterministically expands `seed` into a FaultPlan within the bounds
+/// above and `options`. Pure: same (seed, options) -> byte-identical plan,
+/// on any machine, at any --jobs.
 faults::FaultPlan generate_plan(std::uint64_t seed,
                                 const GenOptions& options = {});
 

@@ -93,12 +93,15 @@ http::InterceptorPtr reject_after_n_video_segments(int allow) {
   return std::make_shared<RejectAfterNVideoSegments>(allow);
 }
 
-StartupProbe probe_startup(const services::ServiceSpec& spec,
-                           const StartupProbeOptions& options) {
+StartupProbe probe_startup(const services::ServiceSpec& spec) {
+  // Ample bandwidth, so rejection is the only limit; give up past 16
+  // admitted segments.
+  constexpr Bps kBandwidth = 8 * kMbps;
+  constexpr int kMaxSegments = 16;
   StartupProbe probe;
-  for (int n = 1; n <= options.max_segments; ++n) {
+  for (int n = 1; n <= kMaxSegments; ++n) {
     SessionConfig config = base_session(
-        spec, net::BandwidthTrace::constant(options.probe_bandwidth, 120), 90);
+        spec, net::BandwidthTrace::constant(kBandwidth, 120), 90);
     config.interceptors.push_back(reject_after_n_video_segments(n));
     SessionResult result = run_session(config);
     if (result.ui.startup_delay < 0) continue;  // still not playing
@@ -194,18 +197,21 @@ SteadyStateProbe probe_steady_state(const services::ServiceSpec& spec,
   return probe;
 }
 
-StepProbe probe_step_response(const services::ServiceSpec& spec,
-                              const StepProbeOptions& options) {
-  const Seconds step_at = options.step_at;
-  const Seconds duration = options.duration;
+StepProbe probe_step_response(const services::ServiceSpec& spec) {
+  // 6 -> 1.5 Mbps at t = 150 s of a 500 s session. A down-switch with more
+  // than kImmediateCutoff seconds still buffered counts as "immediate".
+  constexpr Bps kHigh = 6 * kMbps;
+  constexpr Bps kLow = 1.5 * kMbps;
+  constexpr Seconds kStepAt = 150;
+  constexpr Seconds kDuration = 500;
+  constexpr Seconds kImmediateCutoff = 60;
   SessionConfig config = base_session(
-      spec,
-      net::BandwidthTrace::step(options.high, options.low, step_at, duration),
-      duration);
+      spec, net::BandwidthTrace::step(kHigh, kLow, kStepAt, kDuration),
+      kDuration);
   SessionResult result = run_session(config);
 
   // The level the player had settled on before the step.
-  SteadyStats before = steady_stats(result.traffic, step_at * 0.4, step_at);
+  SteadyStats before = steady_stats(result.traffic, kStepAt * 0.4, kStepAt);
   int settled_level = -1;
   Seconds best = 0;
   for (const auto& [level, secs] : before.seconds_by_level) {
@@ -219,13 +225,13 @@ StepProbe probe_step_response(const services::ServiceSpec& spec,
   if (settled_level < 0) return probe;
   for (const SegmentDownload& d : result.traffic.downloads) {
     if (d.type != media::ContentType::kVideo || d.aborted) continue;
-    if (d.requested_at <= step_at || d.level >= settled_level) continue;
+    if (d.requested_at <= kStepAt || d.level >= settled_level) continue;
     probe.switched_down = true;
     const std::size_t slot =
-        static_cast<std::size_t>(std::clamp(d.requested_at, 0.0, duration));
+        static_cast<std::size_t>(std::clamp(d.requested_at, 0.0, kDuration));
     probe.buffer_at_downswitch =
         slot < result.buffer.size() ? result.buffer[slot].video_buffer : 0;
-    probe.immediate = probe.buffer_at_downswitch > options.immediate_cutoff;
+    probe.immediate = probe.buffer_at_downswitch > kImmediateCutoff;
     break;
   }
   return probe;

@@ -22,8 +22,9 @@
 //                           identical track choices prove the ABR ignores
 //                           actual bitrates (§4.2).
 //
-// Probes perturb traffic through the Interceptor chain (http/interceptor.h)
-// and take their tunables as per-probe Options structs with named fields.
+// Probes perturb traffic through the Interceptor chain (http/interceptor.h).
+// Probes whose tunables a bench varies take them as per-probe Options
+// structs; the rest run at fixed settings.
 #pragma once
 
 #include <optional>
@@ -37,19 +38,13 @@ namespace vodx::core {
 /// Classifies requests against the live proxy's traffic log.
 http::InterceptorPtr reject_after_n_video_segments(int allow);
 
-struct StartupProbeOptions {
-  Bps probe_bandwidth = 8 * kMbps;  ///< ample, so rejection is the only limit
-  int max_segments = 16;            ///< give up past this many admitted segments
-};
-
 struct StartupProbe {
   bool playback_achievable = false;
   int min_segments = 0;         ///< minimal segment count for playback
   Seconds startup_buffer = 0;   ///< duration of those segments
   Bps startup_bitrate = 0;      ///< declared bitrate of the first segment
 };
-StartupProbe probe_startup(const services::ServiceSpec& spec,
-                           const StartupProbeOptions& options = {});
+StartupProbe probe_startup(const services::ServiceSpec& spec);
 
 struct ThresholdProbeOptions {
   Bps bandwidth = 10 * kMbps;  ///< fast enough that pausing must kick in
@@ -80,25 +75,14 @@ struct SteadyStateProbe {
 SteadyStateProbe probe_steady_state(const services::ServiceSpec& spec,
                                     const SteadyStateProbeOptions& options);
 
-struct StepProbeOptions {
-  Bps high = 6 * kMbps;          ///< rate before the step
-  Bps low = 1.5 * kMbps;         ///< rate after the step
-  Seconds step_at = 150;         ///< when the drop happens
-  Seconds duration = 500;        ///< session length (seconds)
-  /// A down-switch with more than this many seconds still buffered counts
-  /// as "immediate" (the player did not spend its buffer first).
-  Seconds immediate_cutoff = 60;
-};
-
 struct StepProbe {
   bool switched_down = false;
   Seconds buffer_at_downswitch = 0;
-  /// True when the switch happened while more than `immediate_cutoff`
-  /// seconds were still buffered.
+  /// True when the switch happened while more than 60 s were still
+  /// buffered (the player did not spend its buffer first).
   bool immediate = false;
 };
-StepProbe probe_step_response(const services::ServiceSpec& spec,
-                              const StepProbeOptions& options = {});
+StepProbe probe_step_response(const services::ServiceSpec& spec);
 
 /// §3.1's encoding analysis: gather the actual/declared bitrate ratios of
 /// the highest video track the way the methodology does — DASH exposes

@@ -10,6 +10,28 @@ namespace vodx::diag {
 
 namespace {
 
+// --- Attribution constants (DESIGN.md §12) ---------------------------------
+
+/// RTT that sizes the restart ramp and separates injected server latency
+/// from protocol round trips: the SessionConfig default, which every sweep
+/// cell and population tower runs on.
+constexpr Seconds kRtt = 0.07;
+/// The cwnd re-ramp window charged to a slow-start restart: 24 RTTs.
+constexpr Seconds kRestartRamp = 24 * kRtt;
+/// Capacity must cover bitrate * headroom before a rung counts as
+/// sustainable (protocol + container overhead allowance).
+constexpr double kDeficitHeadroom = 1.05;
+/// Pre-interval window searched for evidence when a problem interval opens
+/// with no instantaneous evidence (the drain that caused a stall happens
+/// before the stall).
+constexpr Seconds kLookback = 4.0;
+/// Confidence multiplier for spans filled by carry-forward / lookback
+/// rather than instantaneous evidence.
+constexpr double kCarryPenalty = 0.75;
+/// Sender-limited fraction of a transfer's streaming time above which the
+/// transfer counts as server-paced.
+constexpr double kPacingFraction = 0.5;
+
 // --- Evidence model --------------------------------------------------------
 //
 // Every trace-derived clue becomes a time span carrying the cause it argues
@@ -65,10 +87,8 @@ bool is_name(const obs::Event& event, const char* name) {
 
 EvidenceIndex build_index(const core::SessionResult& result,
                           const std::vector<obs::Event>& events,
-                          const std::optional<faults::FaultPlan>& plan,
-                          const DiagOptions& options) {
+                          const std::optional<faults::FaultPlan>& plan) {
   EvidenceIndex index;
-  const Seconds ramp = options.restart_ramp_rtts * options.rtt;
 
   // Open tcp.transfer spans per track (transfers never nest on a track).
   std::vector<std::pair<int, TransferSpan>> open;
@@ -88,7 +108,7 @@ EvidenceIndex build_index(const core::SessionResult& result,
         // problem time for a bounded influence window.
         if (event.kind == obs::EventKind::kInstant) {
           index.spans.push_back(
-              {event.sim_time, event.sim_time + options.fault_influence,
+              {event.sim_time, event.sim_time + kFaultInfluence,
                Cause::kFaultInjected, 0.9,
                format("%s fired at %.1fs", event.name, event.sim_time)});
         }
@@ -120,14 +140,14 @@ EvidenceIndex build_index(const core::SessionResult& result,
         if (event.kind == obs::EventKind::kInstant) {
           if (is_name(event, "tcp.idle_restart")) {
             index.spans.push_back(
-                {event.sim_time, event.sim_time + ramp,
+                {event.sim_time, event.sim_time + kRestartRamp,
                  Cause::kTcpSlowStartRestart, 0.8,
                  format("idle restart after %.1fs idle",
                         obs::field_num(event, "idle_s"))});
           } else if (is_name(event, "tcp.handshake") &&
                      obs::field_num(event, "restart") > 0) {
             index.spans.push_back(
-                {event.sim_time, event.sim_time + ramp,
+                {event.sim_time, event.sim_time + kRestartRamp,
                  Cause::kTcpSlowStartRestart, 0.8,
                  "re-paid handshake (non-persistent reconnect)"});
           }
@@ -176,7 +196,7 @@ EvidenceIndex build_index(const core::SessionResult& result,
     const Seconds wait_end =
         t.wait_s >= 0 ? std::min(t.begin_t + t.wait_s, t.end_t) : t.end_t;
     if (wait_end > t.begin_t) {
-      const bool injected = t.extra_wait_s > options.rtt;
+      const bool injected = t.extra_wait_s > kRtt;
       index.spans.push_back(
           {t.begin_t, wait_end, Cause::kOriginLatency,
            injected ? 0.9 : 0.6,
@@ -185,7 +205,7 @@ EvidenceIndex build_index(const core::SessionResult& result,
     }
     const double streaming = t.sender_limited_s + t.link_limited_s;
     if (streaming > 0 &&
-        t.sender_limited_s >= options.pacing_fraction * streaming) {
+        t.sender_limited_s >= kPacingFraction * streaming) {
       const double frac = t.sender_limited_s / streaming;
       const Seconds stream_begin =
           t.wait_s >= 0 ? t.begin_t + t.wait_s : t.begin_t;
@@ -198,7 +218,7 @@ EvidenceIndex build_index(const core::SessionResult& result,
   if (plan.has_value()) {
     for (const faults::BlackoutFault& b : plan->blackouts) {
       index.spans.push_back(
-          {b.start, b.start + b.duration + options.fault_influence,
+          {b.start, b.start + b.duration + kFaultInfluence,
            Cause::kFaultInjected, 0.85,
            format("blackout window [%.0fs, %.0fs)", b.start,
                   b.start + b.duration)});
@@ -226,8 +246,7 @@ EvidenceIndex build_index(const core::SessionResult& result,
 
 // --- Per-slice classification ---------------------------------------------
 
-BlameSpan classify(const EvidenceIndex& index, Seconds a, Seconds b,
-                   const DiagOptions& options) {
+BlameSpan classify(const EvidenceIndex& index, Seconds a, Seconds b) {
   BlameSpan span;
   span.start = a;
   span.end = b;
@@ -253,7 +272,7 @@ BlameSpan classify(const EvidenceIndex& index, Seconds a, Seconds b,
   const double cap_mbps = step_value_at(index.capacity_mbps, t, -1);
   if (cap_mbps >= 0 && index.min_rate_bps > 0) {
     const double cap_bps = cap_mbps * 1e6;
-    if (cap_bps < index.min_rate_bps * options.deficit_headroom) {
+    if (cap_bps < index.min_rate_bps * kDeficitHeadroom) {
       span.cause = Cause::kLinkDeficit;
       span.confidence = std::clamp(
           0.55 + 0.4 * (1.0 - cap_bps / index.min_rate_bps), 0.55, 0.95);
@@ -263,7 +282,7 @@ BlameSpan classify(const EvidenceIndex& index, Seconds a, Seconds b,
     }
     const double fetch_bps =
         step_value_at(index.fetch_rate_bps, t, index.min_rate_bps);
-    if (fetch_bps > 0 && cap_bps < fetch_bps * options.deficit_headroom) {
+    if (fetch_bps > 0 && cap_bps < fetch_bps * kDeficitHeadroom) {
       span.cause = Cause::kAbrOverestimate;
       span.confidence = 0.7;
       span.note = format("capacity %.2f Mbps below fetched rung %.2f Mbps",
@@ -301,13 +320,12 @@ std::vector<Seconds> slice_points(const EvidenceIndex& index, Seconds start,
 }
 
 std::vector<BlameSpan> classify_interval(const EvidenceIndex& index,
-                                         Seconds start, Seconds end,
-                                         const DiagOptions& options) {
+                                         Seconds start, Seconds end) {
   std::vector<BlameSpan> spans;
   const std::vector<Seconds> points = slice_points(index, start, end);
   for (std::size_t i = 0; i + 1 < points.size(); ++i) {
     if (points[i + 1] - points[i] < 1e-9) continue;
-    BlameSpan next = classify(index, points[i], points[i + 1], options);
+    BlameSpan next = classify(index, points[i], points[i + 1]);
     if (!spans.empty() && spans.back().cause == next.cause &&
         spans.back().note == next.note) {
       spans.back().end = next.end;
@@ -324,11 +342,11 @@ std::vector<BlameSpan> classify_interval(const EvidenceIndex& index,
 /// largest blamed duration, priority order breaking ties. kUnknown when the
 /// window holds no evidence at all.
 BlameSpan lookback_verdict(const EvidenceIndex& index, Seconds start,
-                           Seconds end, const DiagOptions& options) {
+                           Seconds end) {
   double blamed[kCauseCount] = {};
   double conf_weight[kCauseCount] = {};
   std::string notes[kCauseCount];
-  for (const BlameSpan& span : classify_interval(index, start, end, options)) {
+  for (const BlameSpan& span : classify_interval(index, start, end)) {
     const int c = static_cast<int>(span.cause);
     blamed[c] += span.duration();
     conf_weight[c] += span.confidence * span.duration();
@@ -352,8 +370,7 @@ BlameSpan lookback_verdict(const EvidenceIndex& index, Seconds start,
 /// recovering from whatever caused it). fault.injected carry is capped at
 /// the fault influence window so blame cannot drift arbitrarily far from
 /// the injected window — the precision the validation harness gates on.
-std::vector<BlameSpan> carry_forward(std::vector<BlameSpan> spans,
-                                     const DiagOptions& options) {
+std::vector<BlameSpan> carry_forward(std::vector<BlameSpan> spans) {
   std::vector<BlameSpan> out;
   std::vector<bool> carried;
   for (BlameSpan& span : spans) {
@@ -371,11 +388,11 @@ std::vector<BlameSpan> carry_forward(std::vector<BlameSpan> spans,
         carried.push_back(false);
         continue;
       }
-      const Seconds limit = span.start + options.fault_influence;
+      const Seconds limit = span.start + kFaultInfluence;
       BlameSpan filled = span;
       filled.end = std::min(span.end, limit);
       filled.cause = source.cause;
-      filled.confidence = source.confidence * options.carry_penalty;
+      filled.confidence = source.confidence * kCarryPenalty;
       filled.note = "carried: " + source.note;
       const Seconds rest_start = filled.end;
       out.push_back(std::move(filled));
@@ -389,7 +406,7 @@ std::vector<BlameSpan> carry_forward(std::vector<BlameSpan> spans,
       continue;
     }
     span.cause = source.cause;
-    span.confidence = source.confidence * options.carry_penalty;
+    span.confidence = source.confidence * kCarryPenalty;
     span.note = "carried: " + source.note;
     out.push_back(std::move(span));
     carried.push_back(true);
@@ -398,29 +415,25 @@ std::vector<BlameSpan> carry_forward(std::vector<BlameSpan> spans,
 }
 
 IntervalDiagnosis diagnose_interval(const EvidenceIndex& index, bool startup,
-                                    Seconds start, Seconds end,
-                                    const DiagOptions& options) {
+                                    Seconds start, Seconds end) {
   IntervalDiagnosis interval;
   interval.startup = startup;
   interval.start = start;
   interval.end = end;
-  interval.spans = classify_interval(index, start, end, options);
+  interval.spans = classify_interval(index, start, end);
 
   // A stall's cause usually precedes it (the drain happened while playing):
   // resolve a blind opening span from the lookback window's verdict.
   if (!interval.spans.empty() &&
-      interval.spans.front().cause == Cause::kUnknown &&
-      options.lookback > 0) {
-    BlameSpan verdict = lookback_verdict(
-        index, start - options.lookback, start, options);
+      interval.spans.front().cause == Cause::kUnknown) {
+    BlameSpan verdict = lookback_verdict(index, start - kLookback, start);
     if (verdict.cause != Cause::kUnknown) {
       interval.spans.front().cause = verdict.cause;
-      interval.spans.front().confidence =
-          verdict.confidence * options.carry_penalty;
+      interval.spans.front().confidence = verdict.confidence * kCarryPenalty;
       interval.spans.front().note = "pre-interval: " + verdict.note;
     }
   }
-  interval.spans = carry_forward(std::move(interval.spans), options);
+  interval.spans = carry_forward(std::move(interval.spans));
   return interval;
 }
 
@@ -477,9 +490,8 @@ double Diagnosis::stall_attributed_fraction() const {
 
 Diagnosis diagnose(const core::SessionResult& result,
                    const std::vector<obs::Event>& events,
-                   const std::optional<faults::FaultPlan>& plan,
-                   const DiagOptions& options) {
-  const EvidenceIndex index = build_index(result, events, plan, options);
+                   const std::optional<faults::FaultPlan>& plan) {
+  const EvidenceIndex index = build_index(result, events, plan);
   Diagnosis diagnosis;
 
   const player::PlayerEvents& truth = result.events;
@@ -490,13 +502,13 @@ Diagnosis diagnose(const core::SessionResult& result,
                                   : result.session_end;
   if (startup_end - truth.session_start > 1e-9) {
     diagnosis.intervals.push_back(diagnose_interval(
-        index, true, truth.session_start, startup_end, options));
+        index, true, truth.session_start, startup_end));
   }
   for (const player::StallEvent& stall : truth.stalls) {
     const Seconds end = stall.end >= 0 ? stall.end : result.session_end;
     if (end - stall.start <= 1e-9) continue;
     diagnosis.intervals.push_back(
-        diagnose_interval(index, false, stall.start, end, options));
+        diagnose_interval(index, false, stall.start, end));
   }
 
   double conf_weight[kCauseCount] = {};
@@ -518,10 +530,8 @@ Diagnosis diagnose(const core::SessionResult& result,
 
 Diagnosis diagnose(const core::SessionResult& result,
                    const obs::Observer& observer,
-                   const std::optional<faults::FaultPlan>& plan,
-                   const DiagOptions& options) {
-  Diagnosis diagnosis =
-      diagnose(result, observer.trace.snapshot(), plan, options);
+                   const std::optional<faults::FaultPlan>& plan) {
+  Diagnosis diagnosis = diagnose(result, observer.trace.snapshot(), plan);
   diagnosis.trace_dropped = observer.trace.dropped();
   return diagnosis;
 }

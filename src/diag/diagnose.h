@@ -30,27 +30,10 @@
 
 namespace vodx::diag {
 
-struct DiagOptions {
-  /// How long a fired fault keeps explaining problem time after its event.
-  Seconds fault_influence = 8.0;
-  /// Length of the cwnd re-ramp window charged to a restart, in RTTs.
-  double restart_ramp_rtts = 24;
-  /// RTT used to size the ramp window (SessionConfig default).
-  Seconds rtt = 0.07;
-  /// Capacity must cover bitrate * headroom before a rung counts as
-  /// sustainable (protocol + container overhead allowance).
-  double deficit_headroom = 1.05;
-  /// Pre-interval window searched for evidence when a problem interval
-  /// opens with no instantaneous evidence (the drain that caused a stall
-  /// happens before the stall).
-  Seconds lookback = 4.0;
-  /// Confidence multiplier for spans filled by carry-forward / lookback
-  /// rather than instantaneous evidence.
-  double carry_penalty = 0.75;
-  /// Sender-limited fraction of a transfer's streaming time above which the
-  /// transfer counts as server-paced.
-  double pacing_fraction = 0.5;
-};
+/// How long a fired fault keeps explaining problem time after its event.
+/// The validation harness (validate.h) builds its truth windows from the
+/// same value, so blame and ground truth agree on what "near" means.
+inline constexpr Seconds kFaultInfluence = 8.0;
 
 /// One contiguous slice of a problem interval charged to a single cause.
 struct BlameSpan {
@@ -99,14 +82,12 @@ struct Diagnosis {
 /// blackout windows; fired faults are read from the trace itself.
 Diagnosis diagnose(const core::SessionResult& result,
                    const std::vector<obs::Event>& events,
-                   const std::optional<faults::FaultPlan>& plan = {},
-                   const DiagOptions& options = {});
+                   const std::optional<faults::FaultPlan>& plan = {});
 
 /// Convenience: snapshots the observer's ring and records its drop count.
 Diagnosis diagnose(const core::SessionResult& result,
                    const obs::Observer& observer,
-                   const std::optional<faults::FaultPlan>& plan = {},
-                   const DiagOptions& options = {});
+                   const std::optional<faults::FaultPlan>& plan = {});
 
 /// Per-interval blame table plus per-cause totals, for the single-session
 /// `vodx diagnose <service>` view. Byte-stable.

@@ -94,36 +94,28 @@ double DiagRollup::mean_confidence() const {
 }
 
 void fold_cell(SweepDiagnosis& out, const batch::CellResult& cell,
-               const obs::Observer& observer, const DiagOptions& options) {
+               const obs::Observer& observer) {
   ++out.total_cells;
   if (!cell.ok) {
     ++out.failed;
     return;
   }
-  std::optional<faults::FaultPlan> plan;
-  if (cell.fault != "none") {
-    faults::FaultPlan p = faults::scenario(cell.fault);
-    p.seed = batch::fault_seed_for(cell.seed, cell.cell.service_index,
-                                   cell.cell.profile_index,
-                                   cell.cell.fault_index);
-    plan = std::move(p);
-  }
-  const Diagnosis diagnosis = diagnose(cell.result, observer, plan, options);
+  const Diagnosis diagnosis =
+      diagnose(cell.result, observer, batch::fault_plan_for(cell));
   out.fold_cell(cell, [&diagnosis](DiagRollup& rollup) {
     rollup.fold(diagnosis);
   });
 }
 
-SweepDiagnosis diagnose_sweep(batch::SweepConfig config,
-                              const DiagOptions& options) {
+SweepDiagnosis diagnose_sweep(batch::SweepConfig config) {
   SweepDiagnosis out;
 
   // The observe callback fires post-join in grid order on one thread, so
   // the fold sequence — and therefore every rendered table — is independent
   // of the job count.
-  config.observe = [&out, &options](const batch::CellResult& cell,
-                                    const obs::Observer& observer) {
-    fold_cell(out, cell, observer, options);
+  config.observe = [&out](const batch::CellResult& cell,
+                          const obs::Observer& observer) {
+    fold_cell(out, cell, observer);
   };
 
   batch::run_sweep(config);

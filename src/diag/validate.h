@@ -26,20 +26,10 @@
 namespace vodx::diag {
 
 struct ValidateOptions {
-  /// Catalog services to run per scenario (empty = first `service_count`).
-  /// The defaults span the design space: persistent HLS, DASH, and a
-  /// non-persistent-connection service.
+  /// Catalog services to run per scenario. The defaults span the design
+  /// space: persistent HLS, DASH, and a non-persistent-connection service.
   std::vector<std::string> services = {"H1", "H3", "D1"};
-  int service_count = 3;
-  /// Profile 2 leaves little bandwidth margin, so injected faults actually
-  /// turn into stalls that overlap their windows — a fault-free profile
-  /// would make the harness vacuously pass.
-  int profile_id = 2;
   Seconds duration = 300;
-  /// Slack appended to truth windows when scoring precision, covering
-  /// bounded carry-forward past the influence window.
-  Seconds carry_grace = 16.0;
-  DiagOptions diag;
 };
 
 struct ScenarioScore {

@@ -59,7 +59,6 @@ class HttpClient {
 
   bool can_fetch() const { return free_slots() > 0; }
   int free_slots() const;
-  int active_transfers() const { return static_cast<int>(in_flight_.size()); }
 
   /// Bytes received so far for an in-flight transfer.
   Bytes bytes_in_flight(int transfer_id) const;

@@ -48,12 +48,6 @@ struct TransferRecord {
 
   /// Wall time from request to completion; asserts finished().
   Seconds duration() const;
-
-  /// Duration using `fallback_end` for unfinished transfers (e.g. the
-  /// session end for the trailing in-flight request).
-  Seconds duration_or(Seconds fallback_end) const {
-    return finish_or(fallback_end) - requested_at;
-  }
 };
 
 class TrafficLog {

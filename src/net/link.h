@@ -67,9 +67,6 @@ class Link : public TickClient {
   const BandwidthTrace& trace() const { return trace_; }
   Seconds rtt() const { return rtt_; }
 
-  /// Capacity at current simulated time.
-  Bps capacity_now() const { return trace_.at(sim_.now()); }
-
   /// Total payload bytes the link has carried (for conservation checks).
   Bytes total_delivered() const;
 

@@ -164,7 +164,6 @@ void TcpConnection::grow_cwnd(Bytes acked, Bps granted, bool saturated) {
 
 void TcpConnection::advance(Seconds now, Seconds dt, Bps granted,
                             bool saturated) {
-  last_granted_ = granted;
   switch (phase_) {
     case Phase::kClosed:
     case Phase::kIdle:

@@ -27,7 +27,4 @@ inline bool trace_on(const Observer* observer, Category category) {
   return observer != nullptr && observer->trace.enabled(category);
 }
 
-/// Guard for metrics-only updates (counters on hot paths).
-inline bool metrics_on(const Observer* observer) { return observer != nullptr; }
-
 }  // namespace vodx::obs

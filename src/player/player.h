@@ -128,7 +128,6 @@ class Player : public net::TickClient {
   /// downloading continues up to the pausing threshold.
   void pause();
   void resume();
-  bool paused_by_user() const { return user_paused_; }
 
   /// 1 Hz playback-progress callback (the ProgressBar.setProgress analogue).
   using SeekbarFn = std::function<void(Seconds wall_time, int progress_sec)>;
@@ -146,13 +145,7 @@ class Player : public net::TickClient {
   Seconds video_buffered() const {
     return video_buffer_.buffered_ahead(position_);
   }
-  Seconds audio_buffered() const {
-    return audio_buffer_.buffered_ahead(position_);
-  }
   const PlaybackBuffer& video_buffer() const { return video_buffer_; }
-
-  /// Next video index the downloader will fetch (for experiments).
-  int next_video_index() const { return next_index_[0]; }
   Bps bandwidth_estimate() const { return estimator_.estimate(); }
 
   // --- net::TickClient ----------------------------------------------------

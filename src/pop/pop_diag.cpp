@@ -40,8 +40,7 @@ std::vector<obs::Event> fair_share_capacity_events(
 
 diag::Diagnosis diagnose_session(
     const core::SessionResult& result, const obs::Observer& observer,
-    const std::vector<obs::Event>& capacity_events,
-    const diag::DiagOptions& options) {
+    const std::vector<obs::Event>& capacity_events) {
   const std::vector<obs::Event> trace = observer.trace.snapshot();
   std::vector<obs::Event> merged;
   merged.reserve(trace.size() + capacity_events.size());
@@ -52,7 +51,7 @@ diag::Diagnosis diagnose_session(
              [](const obs::Event& a, const obs::Event& b) {
                return a.sim_time < b.sim_time;
              });
-  diag::Diagnosis diagnosis = diag::diagnose(result, merged, {}, options);
+  diag::Diagnosis diagnosis = diag::diagnose(result, merged);
   diagnosis.trace_dropped = observer.trace.dropped();
   return diagnosis;
 }

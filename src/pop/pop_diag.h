@@ -52,10 +52,9 @@ std::vector<obs::Event> fair_share_capacity_events(
 /// into the observer's retained trace — capacity first at equal stamps, so
 /// a bin's share is in force before anything that happens inside it — and
 /// runs diag::diagnose over the combined evidence.
-diag::Diagnosis diagnose_session(const core::SessionResult& result,
-                                 const obs::Observer& observer,
-                                 const std::vector<obs::Event>& capacity_events,
-                                 const diag::DiagOptions& options);
+diag::Diagnosis diagnose_session(
+    const core::SessionResult& result, const obs::Observer& observer,
+    const std::vector<obs::Event>& capacity_events);
 
 /// Spreads every blame span over the timeline's blame_* series by overlap:
 /// each bin gains the seconds of the span that fall inside it.

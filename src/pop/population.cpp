@@ -34,6 +34,11 @@ constexpr std::uint64_t kContentTag = 0x636F6E74ULL;  // "cont"
 constexpr std::uint64_t kOriginTag = 0x6F726967ULL;   // "orig"
 constexpr std::uint64_t kFaultTag = 0x6661756CULL;    // "faul"
 
+// A tower's shared link and every session it hosts run on the
+// core::SessionConfig defaults, so all of them agree on one tick and RTT.
+constexpr Seconds kTick = 0.01;
+constexpr Seconds kRtt = 0.07;
+
 /// Knuth's product-of-uniforms Poisson draw; fine for the per-second rates
 /// a cell sees (lambda well under ~30).
 int poisson(Rng& rng, double lambda) {
@@ -144,17 +149,15 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
       config.towers[static_cast<std::size_t>(tower_index)];
   core::SessionFactory::validate_profile(profile_id);
 
-  net::Simulator sim(config.tick);
+  net::Simulator sim(kTick);
   sim.set_core(config.sim_core);
-  sim.set_wall_budget(config.wall_budget);
-  sim.set_max_events_per_instant(config.max_events_per_instant);
   net::Link link(
       sim,
       trace::cellular_profile(
           profile_id,
           batch::derive_seed(config.seed, kTraceTag,
                              static_cast<std::uint64_t>(tower_index))),
-      config.rtt);
+      kRtt);
 
   int capped = 0;
   const std::vector<Arrival> arrivals = tower_arrivals(
@@ -211,8 +214,8 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
       session_config.content = content.get(services::ContentKey(
           session_config.spec, session_config.content_duration,
           session_config.content_seed));
-      session_config.tick = config.tick;
-      session_config.rtt = config.rtt;
+      session_config.tick = kTick;
+      session_config.rtt = kRtt;
       if (with_origin) {
         session_config.origin = config.origin;
         // Per-session jitter stream, keyed like every other pop draw.
@@ -317,7 +320,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
     outcome.stall_count = result.ground_truth.stall_count;
     outcome.total_bytes = result.ground_truth.total_bytes;
     const Seconds active =
-        std::max(config.tick, outcome.departure - outcome.arrival);
+        std::max(kTick, outcome.departure - outcome.arrival);
     outcome.mbps =
         static_cast<double>(outcome.total_bytes) * 8.0 / active / 1e6;
     outcome.final_state = player::to_string(result.final_state);
@@ -331,8 +334,6 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
   if (diagnose) {
     const std::vector<obs::Event> capacity_events =
         fair_share_capacity_events(timeline);
-    diag::DiagOptions options;
-    options.rtt = config.rtt;
     for (std::size_t i = 0; i < hosted.size(); ++i) {
       if (hosted[i].session == nullptr) continue;
       if (observers[i] == nullptr) {
@@ -345,7 +346,7 @@ TowerReport run_tower(const PopulationConfig& config, int tower_index,
       // whether diagnosis is on or off.
       const core::SessionResult full = hosted[i].session->finish(sim.now());
       const diag::Diagnosis diagnosis =
-          diagnose_session(full, *observers[i], capacity_events, options);
+          diagnose_session(full, *observers[i], capacity_events);
       report.diag.fold(diagnosis);
       fold_blame_bins(timeline, diagnosis);
     }

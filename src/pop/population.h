@@ -65,12 +65,9 @@ struct PopulationConfig {
   int max_sessions_per_tower = 0;
   /// Worker threads across towers (0 = hardware); output invariant.
   int jobs = 1;
+  /// Simulator core every tower runs on (`vodx pop --core`); both cores
+  /// produce byte-identical reports.
   net::SimCore sim_core = net::SimCore::kEvent;
-  Seconds tick = 0.01;
-  Seconds rtt = 0.07;
-  // Watchdogs, per tower run (see core::SessionConfig).
-  Seconds wall_budget = 0;
-  std::uint64_t max_events_per_instant = 0;
 
   // --- Telemetry (DESIGN.md §15) -----------------------------------------
   /// Sample every tower into an obs::Timeline (per-bin concurrency, stall /

@@ -106,9 +106,7 @@ TEST(ChaosEngine, HookViolationIsMinimizedAndReplaysFromArtifact) {
   const ReproArtifact artifact = parse_repro(to_json(row.artifact));
   EXPECT_EQ(artifact.chaos_seed, seed);
   EXPECT_EQ(artifact.service, row.service);
-  CheckOptions options;
-  options.test_hook = hook;
-  const CheckedRun replayed = replay(artifact, options);
+  const CheckedRun replayed = replay(artifact, config);
   EXPECT_FALSE(replayed.ok());
   ASSERT_FALSE(replayed.report.violations.empty());
   EXPECT_EQ(replayed.report.violations[0].invariant, "hook.reset_latency");
@@ -144,6 +142,27 @@ TEST(ChaosEngine, TinyWallBudgetTripsTheWatchdogAndSkipsMinimization) {
   const std::string text = chaos_report_text(report);
   EXPECT_NE(text.find("WATCHDOG"), std::string::npos);
   EXPECT_NE(text.find("2 watchdog abort(s)"), std::string::npos);
+}
+
+// Replay runs under the watchdogs of the campaign config it is handed: the
+// same clean artifact is a watchdog abort under a budget nothing can meet
+// and clean without one. `vodx chaos --repro --budget` relies on this.
+TEST(ChaosEngine, ReplayRunsUnderTheCampaignWatchdog) {
+  ReproArtifact artifact;
+  artifact.service = "H1";
+  artifact.profile_id = 7;
+  artifact.duration = 15;
+  artifact.chaos_seed = 1;
+
+  ChaosConfig config = quick_config({});
+  const CheckedRun clean = replay(artifact, config);
+  EXPECT_TRUE(clean.ok()) << "the artifact must be clean on its own";
+
+  config.wall_budget = 1e-9;  // any session exceeds this at the first check
+  const CheckedRun aborted = replay(artifact, config);
+  EXPECT_TRUE(aborted.watchdog);
+  EXPECT_FALSE(aborted.ok());
+  EXPECT_NE(aborted.watchdog_detail.find("watchdog"), std::string::npos);
 }
 
 TEST(ChaosEngine, ReportTextIsStableAndNamesEveryRow) {

@@ -91,9 +91,8 @@ TEST(Minimize, RespectsTheRunBudget) {
     ++calls;
     return !plan.resets.empty() && !plan.latency.empty();
   };
-  MinimizeOptions options;
-  options.max_runs = 5;
-  const MinimizeResult result = minimize(five_fault_plan(), oracle, options);
+  const MinimizeResult result =
+      minimize(five_fault_plan(), oracle, /*max_runs=*/5);
   EXPECT_LE(calls, 5);
   EXPECT_EQ(result.runs, calls);
   EXPECT_TRUE(oracle(result.plan)) << "even a truncated shrink stays confirmed";

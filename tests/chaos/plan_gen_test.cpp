@@ -40,31 +40,26 @@ TEST(PlanGen, DifferentSeedsProduceDifferentPlans) {
 }
 
 TEST(PlanGen, FaultCountWithinDefaultBounds) {
-  const GenOptions options;
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
-    const faults::FaultPlan plan = generate_plan(seed, options);
+    const faults::FaultPlan plan = generate_plan(seed);
     const std::size_t count = fault_count(plan);
-    EXPECT_GE(count, static_cast<std::size_t>(options.min_faults));
-    EXPECT_LE(count, static_cast<std::size_t>(options.max_faults));
+    EXPECT_GE(count, static_cast<std::size_t>(kMinFaults));
+    EXPECT_LE(count, static_cast<std::size_t>(kMaxFaults));
     EXPECT_EQ(plan.seed, seed);
     EXPECT_EQ(plan.name, "fuzz-" + std::to_string(seed));
   }
 }
 
 TEST(PlanGen, RespectsCustomBounds) {
+  // A custom horizon and the origin-fault kinds; every other bound is fixed.
   GenOptions options;
-  options.min_faults = 2;
-  options.max_faults = 3;
   options.horizon = 60;
-  options.max_latency = 1.0;
-  options.max_blackout = 5;
-  options.min_probability = 0.2;
-  options.max_probability = 0.9;
+  options.origin_faults = true;
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
     const faults::FaultPlan plan = generate_plan(seed, options);
     const std::size_t count = fault_count(plan);
-    EXPECT_GE(count, 2u) << "seed " << seed;
-    EXPECT_LE(count, 3u) << "seed " << seed;
+    EXPECT_GE(count, static_cast<std::size_t>(kMinFaults)) << "seed " << seed;
+    EXPECT_LE(count, static_cast<std::size_t>(kMaxFaults)) << "seed " << seed;
     const auto check_window = [&](const faults::Match& match) {
       EXPECT_GE(match.start, 0.0);
       if (match.end >= 0) {
@@ -75,14 +70,14 @@ TEST(PlanGen, RespectsCustomBounds) {
     for (const faults::LatencyFault& f : plan.latency) {
       check_window(f.match);
       EXPECT_GT(f.base, 0.0);
-      EXPECT_LE(f.base + f.jitter, options.max_latency + 1e-9);
-      EXPECT_GE(f.probability, options.min_probability - 1e-9);
-      EXPECT_LE(f.probability, options.max_probability + 1e-9);
+      EXPECT_LE(f.base + f.jitter, kMaxLatency + 1e-9);
+      EXPECT_GE(f.probability, kMinProbability - 1e-9);
+      EXPECT_LE(f.probability, kMaxProbability + 1e-9);
     }
     for (const faults::ErrorFault& f : plan.errors) {
       check_window(f.match);
       EXPECT_TRUE(f.status == 503 || f.status == 500);
-      EXPECT_GE(f.probability, options.min_probability - 1e-9);
+      EXPECT_GE(f.probability, kMinProbability - 1e-9);
     }
     for (const faults::ResetFault& f : plan.resets) {
       check_window(f.match);
@@ -98,7 +93,17 @@ TEST(PlanGen, RespectsCustomBounds) {
       EXPECT_GE(f.start, 0.0);
       EXPECT_LE(f.start, options.horizon * 0.9 + 1e-9);
       EXPECT_GE(f.duration, 0.5 - 1e-9);
-      EXPECT_LE(f.duration, options.max_blackout + 1e-9);
+      EXPECT_LE(f.duration, kMaxBlackout + 1e-9);
+    }
+    for (const faults::CacheFlushFault& f : plan.cache_flushes) {
+      EXPECT_GE(f.at, 0.0);
+      EXPECT_LE(f.at, options.horizon);
+    }
+    for (const faults::DcBlackoutFault& f : plan.dc_blackouts) {
+      EXPECT_GE(f.start, 0.0);
+      EXPECT_LE(f.start, options.horizon * 0.9 + 1e-9);
+      EXPECT_GE(f.duration, 0.5 - 1e-9);
+      EXPECT_LE(f.duration, kMaxBlackout + 1e-9);
     }
   }
 }

@@ -170,14 +170,12 @@ TEST(Diagnose, FaultCarryForwardIsCapped) {
   // One fault at stall start, influence 8 s: direct evidence covers
   // [10, 18), carry-forward may extend at most another influence window, so
   // a 30 s stall keeps an unknown tail instead of blaming the fault for
-  // everything.
+  // everything. The stall opens on direct evidence, so lookback never runs.
   core::SessionResult r = result_with_stall(10, 40);
   std::vector<obs::Event> events = {
       event(10, obs::Category::kFault, obs::EventKind::kInstant,
             "fault.reset", 0)};
-  DiagOptions options;
-  options.lookback = 0;
-  const Diagnosis d = diagnose(r, events, {}, options);
+  const Diagnosis d = diagnose(r, events);
   EXPECT_DOUBLE_EQ(d.stall_blamed_s[static_cast<int>(Cause::kFaultInjected)],
                    16);
   EXPECT_DOUBLE_EQ(d.stall_blamed_s[static_cast<int>(Cause::kUnknown)], 14);

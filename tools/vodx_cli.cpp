@@ -1077,11 +1077,7 @@ int cmd_chaos(Args& args) {
                 static_cast<unsigned long long>(artifact.chaos_seed));
     std::printf("recorded violation: %s\n", artifact.invariants.c_str());
 
-    chaos::CheckOptions options;
-    options.wall_budget = config.wall_budget;
-    options.max_events_per_instant = config.max_events_per_instant;
-    options.sim_core = config.sim_core;
-    const chaos::CheckedRun run = chaos::replay(artifact, options);
+    const chaos::CheckedRun run = chaos::replay(artifact, config);
     if (run.watchdog) {
       std::printf("replay: WATCHDOG — %s\n", run.watchdog_detail.c_str());
       return 1;
