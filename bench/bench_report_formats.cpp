@@ -48,8 +48,8 @@ batch::SweepConfig grid() {
   return config;
 }
 
-/// The sweep `vodx report [--diag]` runs: metrics always, the diag fold in
-/// the post-join observe callback when asked.
+/// The sweep `vodx report [--diag]` runs: metrics always, the per-cell
+/// diagnoses folded in grid order when asked.
 struct ReportRun {
   batch::SweepResult result;
   batch::SweepMetrics metrics;
@@ -60,14 +60,11 @@ ReportRun report_run(bool with_diag) {
   ReportRun run;
   batch::SweepConfig config = grid();
   config.collect_metrics = true;
-  if (with_diag) {
-    config.observe = [&run](const batch::CellResult& cell,
-                            const obs::Observer& observer) {
-      diag::fold_cell(run.diagnosis, cell, observer);
-    };
-  }
+  diag::SweepDiagnoser diagnoser;
+  if (with_diag) diagnoser.install(config);
   run.result = batch::run_sweep(config);
   run.metrics = batch::aggregate_metrics(run.result);
+  if (with_diag) run.diagnosis = diagnoser.fold(run.result);
   return run;
 }
 

@@ -39,12 +39,14 @@ while [[ $# -gt 0 ]]; do
       # Thread-safety proof for the multi-threaded engines: build
       # everything under ThreadSanitizer and run the batch/sweep suites,
       # the population runner (one worker thread per tower), the content
-      # cache sweep workers share, and the chaos engine (cells fan out over
-      # parallel_map and share the campaign config and its test hook).
+      # cache sweep workers share, the chaos engine (cells fan out over
+      # parallel_map and share the campaign config and its test hook), and
+      # the sweep diagnoses and validation scores that the observe hook
+      # computes on the sweep workers.
       BUILD_DIR="${BUILD_DIR}-tsan"
       CMAKE_ARGS+=(-DVODX_SANITIZE=thread)
       export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-      NAME_FILTER='^(BatchPool|SweepEngine|SweepDeterminism|SeedSensitivity|FaultSweepDeterminism|PopulationDeterminism|PopulationTimeline|PopulationOriginStopRace|ContentCache|ChaosEngine)'
+      NAME_FILTER='^(BatchPool|SweepEngine|SweepHook|SweepDeterminism|SeedSensitivity|FaultSweepDeterminism|PopulationDeterminism|PopulationTimeline|PopulationOriginStopRace|ContentCache|ChaosEngine|DiagRollup|Validate)'
       ;;
     --perfbench)
       PERFBENCH=1

@@ -74,14 +74,18 @@ std::string CellResult::coordinates() const {
   return out + ")";
 }
 
+std::size_t grid_size(const SweepConfig& config) {
+  return config.services.size() * config.profiles.size() *
+         config.seeds.size() * config.fault_scenarios.size() *
+         config.origin_modes.size();
+}
+
 SweepResult run_sweep(const SweepConfig& config) {
-  const std::size_t n_services = config.services.size();
   const std::size_t n_profiles = config.profiles.size();
   const std::size_t n_seeds = config.seeds.size();
   const std::size_t n_faults = config.fault_scenarios.size();
   const std::size_t n_origins = config.origin_modes.size();
-  const std::size_t total =
-      n_services * n_profiles * n_seeds * n_faults * n_origins;
+  const std::size_t total = grid_size(config);
 
   SweepResult out;
   out.cells.resize(total);
@@ -96,19 +100,17 @@ SweepResult run_sweep(const SweepConfig& config) {
     if (id >= 1 && id <= trace::kProfileCount) trace::profile_mean(id);
   }
 
-  // One observer per cell when requested, allocated up front so a worker
-  // only ever touches the observer owned by its claimed index. Metrics-only
-  // collection keeps the event ring off: counters and histograms are what
-  // the aggregation layer folds, and tracing every cell of a large grid
-  // would dominate the run's memory.
-  std::vector<std::unique_ptr<obs::Observer>> observers;
-  if (config.observe || config.collect_metrics) {
-    observers.resize(total);
-    for (auto& o : observers) {
-      o = std::make_unique<obs::Observer>();
-      if (!config.observe) o->trace.set_enabled(false);
-    }
-  }
+  // A cell's observer lives for one attempt: built when the attempt starts,
+  // freed once the observe hook has read it, so at most one per worker is
+  // alive at a time. Metrics-only collection keeps the event ring off:
+  // counters and histograms are what the aggregation layer folds, and
+  // tracing every cell of a large grid would dominate the run's memory.
+  const bool wants_observer = config.observe || config.collect_metrics;
+  auto make_observer = [&config] {
+    auto observer = std::make_unique<obs::Observer>();
+    if (!config.observe) observer->trace.set_enabled(false);
+    return observer;
+  };
 
   // One construction path for every cell: the shared knobs are threaded
   // into the factory once, here, and never per cell.
@@ -161,6 +163,7 @@ SweepResult run_sweep(const SweepConfig& config) {
       cell.error = e.what();
       profile_ok = false;
     }
+    std::unique_ptr<obs::Observer> observer;
     if (profile_ok) {
       // Self-healing attempt loop: watchdog aborts (wall budget, event
       // livelock) get a bounded number of fresh attempts; any other failure
@@ -169,6 +172,11 @@ SweepResult run_sweep(const SweepConfig& config) {
       const int max_attempts = 1 + std::max(0, config.cell_retries);
       for (int attempt = 0; attempt < max_attempts; ++attempt) {
         ++cell.attempts;
+        // A retry must not fold the aborted attempt's counters or events
+        // into the final snapshot: every attempt gets a fresh observer, and
+        // the old one goes first so a worker never holds two.
+        observer.reset();
+        if (wants_observer) observer = make_observer();
         try {
           core::SessionConfig session =
               factory.config(spec, cell.profile_id, trace_seed_for(cell.seed),
@@ -191,26 +199,16 @@ SweepResult run_sweep(const SweepConfig& config) {
           // Keyed after prepare: the hook may edit the spec or durations.
           session.content = content.get(services::ContentKey(
               session.spec, session.content_duration, session.content_seed));
-          if (!observers.empty()) {
-            // A retry must not fold the aborted attempt's counters into the
-            // final snapshot; give the cell a fresh observer.
-            if (attempt > 0) {
-              auto fresh = std::make_unique<obs::Observer>();
-              if (!config.observe) fresh->trace.set_enabled(false);
-              observers[index] = std::move(fresh);
-            }
-            session.observer = observers[index].get();
-          }
+          session.observer = observer.get();
           cell.result = core::run_session(session);
           cell.ok = true;
           cell.quarantined = false;
           cell.error.clear();
-          if (!observers.empty()) {
-            cell.metrics =
-                observers[index]->metrics.snapshot(cell.result.session_end);
+          if (observer) {
+            cell.metrics = observer->metrics.snapshot(cell.result.session_end);
             cell.has_metrics = true;
-            cell.trace_emitted = observers[index]->trace.emitted();
-            cell.trace_dropped = observers[index]->trace.dropped();
+            cell.trace_emitted = observer->trace.emitted();
+            cell.trace_dropped = observer->trace.dropped();
           }
           break;
         } catch (const net::WatchdogError& e) {
@@ -227,17 +225,19 @@ SweepResult run_sweep(const SweepConfig& config) {
       std::lock_guard<std::mutex> lock(progress_mutex);
       config.progress(cell, ++done, total);
     }
+    // After progress and outside its lock: the hook runs concurrently on
+    // every worker and may write only state owned by `index`. A cell
+    // rejected before any attempt hands it an empty observer.
+    if (config.observe) {
+      if (!observer) observer = make_observer();
+      config.observe(index, cell, *observer);
+    }
   });
 
   for (const CellResult& cell : out.cells) {
     if (!cell.ok) ++out.failed;
     if (cell.quarantined) ++out.quarantined;
     if (cell.attempts > 1) ++out.retried;
-  }
-  if (config.observe) {
-    for (std::size_t i = 0; i < total; ++i) {
-      config.observe(out.cells[i], *observers[i]);
-    }
   }
   return out;
 }

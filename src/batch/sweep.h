@@ -10,10 +10,12 @@
 //   * Ordered aggregation: results are collected into grid order
 //     (service-major, then profile, then seed), so serialized output from
 //     `--jobs N` is byte-identical to `--jobs 1`.
-//   * Isolation: every cell builds its own net::Simulator, proxy, player
-//     and (optionally) obs::Observer. Nothing mutable is shared across
-//     cells; the only cross-thread state is the engine's own work cursor
-//     and its services::ContentCache. Shared inputs (services::catalog(),
+//   * Isolation: every cell attempt builds its own net::Simulator, proxy,
+//     player and (optionally) obs::Observer; the observer is freed when the
+//     cell's observe hook returns, so at most `jobs` exist at once. Nothing
+//     mutable is shared across cells; the only cross-thread state is the
+//     engine's own work cursor, its progress counter and its
+//     services::ContentCache. Shared inputs (services::catalog(),
 //     profile definitions, origin content built through the cache) are
 //     immutable after construction; the catalog and profiles are warmed
 //     before workers spawn.
@@ -96,7 +98,7 @@ struct CellResult {
   core::SessionResult result;  ///< valid only when ok
 
   /// Per-cell metrics captured at session end (SweepConfig::collect_metrics
-  /// or an observe callback). Deterministic, so merging these in grid order
+  /// or an observe hook). Deterministic, so merging these in grid order
   /// (batch/report.h) is byte-identical at any `jobs`.
   bool has_metrics = false;
   obs::MetricsSnapshot metrics;
@@ -154,10 +156,17 @@ struct SweepConfig {
   /// the cell owns its observer — and deterministic.
   bool collect_metrics = false;
 
-  /// When set, each cell runs with its own obs::Observer and the callback is
-  /// invoked once per cell *after* the whole grid has finished, in grid
-  /// order (single-threaded, deterministic).
-  std::function<void(const CellResult&, const obs::Observer&)> observe;
+  /// When set, each cell runs with its own traced obs::Observer and the
+  /// hook is invoked exactly once per cell (failed ones included), on the
+  /// worker, right after the cell's final attempt and its `progress` tick.
+  /// It sees only the final attempt's observer, which is destroyed when the
+  /// hook returns. Hooks run concurrently in completion order, so one may
+  /// write only state owned by `index` (the cell's grid position); callers
+  /// fold those per-cell values in grid order after run_sweep returns,
+  /// which keeps the result byte-identical at any `jobs`.
+  std::function<void(std::size_t index, const CellResult&,
+                     const obs::Observer&)>
+      observe;
 
   /// Optional completion ticker for progress display. Invoked from worker
   /// threads (serialized by the engine) in *completion* order, which is not
@@ -191,6 +200,10 @@ struct SweepResult {
   int quarantined = 0;            ///< subset of failed: watchdog quarantines
   int retried = 0;                ///< cells that needed more than one attempt
 };
+
+/// Number of cells the grid expands to: the product of the five axis sizes.
+/// Grid indices handed to `observe` run from 0 to this, exclusive.
+std::size_t grid_size(const SweepConfig& config);
 
 /// Expands the grid and runs every cell, honouring the guarantees above.
 SweepResult run_sweep(const SweepConfig& config);

@@ -93,33 +93,39 @@ double DiagRollup::mean_confidence() const {
   return time > 0 ? weight / time : 0;
 }
 
-void fold_cell(SweepDiagnosis& out, const batch::CellResult& cell,
-               const obs::Observer& observer) {
-  ++out.total_cells;
-  if (!cell.ok) {
-    ++out.failed;
-    return;
+void SweepDiagnoser::install(batch::SweepConfig& config) {
+  cells_.assign(batch::grid_size(config), std::nullopt);
+  // Runs on the worker and writes only the slot the cell's index owns.
+  config.observe = [this](std::size_t index, const batch::CellResult& cell,
+                          const obs::Observer& observer) {
+    if (cell.ok) {
+      cells_[index] =
+          diagnose(cell.result, observer, batch::fault_plan_for(cell));
+    }
+  };
+}
+
+SweepDiagnosis SweepDiagnoser::fold(const batch::SweepResult& result) const {
+  SweepDiagnosis out;
+  for (std::size_t i = 0; i < result.cells.size(); ++i) {
+    const batch::CellResult& cell = result.cells[i];
+    ++out.total_cells;
+    if (!cell.ok) {
+      ++out.failed;
+      continue;
+    }
+    const Diagnosis& diagnosis = cells_.at(i).value();
+    out.fold_cell(cell, [&diagnosis](DiagRollup& rollup) {
+      rollup.fold(diagnosis);
+    });
   }
-  const Diagnosis diagnosis =
-      diagnose(cell.result, observer, batch::fault_plan_for(cell));
-  out.fold_cell(cell, [&diagnosis](DiagRollup& rollup) {
-    rollup.fold(diagnosis);
-  });
+  return out;
 }
 
 SweepDiagnosis diagnose_sweep(batch::SweepConfig config) {
-  SweepDiagnosis out;
-
-  // The observe callback fires post-join in grid order on one thread, so
-  // the fold sequence — and therefore every rendered table — is independent
-  // of the job count.
-  config.observe = [&out](const batch::CellResult& cell,
-                          const obs::Observer& observer) {
-    fold_cell(out, cell, observer);
-  };
-
-  batch::run_sweep(config);
-  return out;
+  SweepDiagnoser diagnoser;
+  diagnoser.install(config);
+  return diagnoser.fold(batch::run_sweep(config));
 }
 
 std::string diag_text(const SweepDiagnosis& diagnosis) {

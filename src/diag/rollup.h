@@ -2,13 +2,16 @@
 //
 // diagnose_sweep() runs a sweep with per-cell tracing enabled and folds each
 // cell's Diagnosis into per-service / per-profile / per-fault root-cause
-// tables. Folding happens in the sweep engine's post-join observe callback,
-// which fires in grid order on one thread — so the rendered tables are
-// byte-identical at `--jobs 1` and `--jobs N`, inheriting the sweep
-// determinism contract (DESIGN.md §8, §12).
+// tables. Each cell is diagnosed on its worker by the sweep engine's observe
+// hook, right after its session, so its trace ring is freed when the cell
+// ends; the per-cell diagnoses are folded in grid order on one thread after
+// the sweep returns — so the rendered tables are byte-identical at `--jobs 1`
+// and `--jobs N`, inheriting the sweep determinism contract (DESIGN.md §8,
+// §12).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,19 +51,37 @@ struct DiagRollup {
 struct SweepDiagnosis : batch::Grouped<DiagRollup> {
   SweepDiagnosis() = default;
 
-  int total_cells = 0;  ///< cells passed to fold_cell
+  int total_cells = 0;  ///< every cell of the grid
   int failed = 0;  ///< cells that produced no diagnosis (session failed)
 };
 
-/// Diagnoses one finished cell (reconstructing its FaultPlan from its
-/// coordinates) and folds it into the rollups. Safe only from a sweep's
-/// observe callback or other single-threaded grid-order context — this is
-/// what diagnose_sweep() and `vodx report --diag` install there.
-void fold_cell(SweepDiagnosis& out, const batch::CellResult& cell,
-               const obs::Observer& observer);
+/// The one way a sweep's root-cause rollups are built (diagnose_sweep,
+/// `vodx report --diag`): install() sets the config's observe hook, which
+/// diagnoses each finished cell on its worker (reconstructing its FaultPlan
+/// from its coordinates) into a slot owned by the cell's grid index; fold()
+/// then folds those diagnoses in grid order on the calling thread.
+class SweepDiagnoser {
+ public:
+  SweepDiagnoser() = default;
+  // The installed hook holds `this`.
+  SweepDiagnoser(const SweepDiagnoser&) = delete;
+  SweepDiagnoser& operator=(const SweepDiagnoser&) = delete;
 
-/// Runs the grid with per-cell observers and diagnoses every successful
-/// cell. The config's observe callback is overridden; each cell's FaultPlan
+  /// Replaces `config.observe`. Call once the grid's axes are final; the
+  /// diagnoser must outlive the sweep run with `config`.
+  void install(batch::SweepConfig& config);
+
+  /// Folds the sweep's per-cell diagnoses in grid order. Every cell counts
+  /// in total_cells; failed and quarantined ones count in failed and add no
+  /// diagnosis.
+  SweepDiagnosis fold(const batch::SweepResult& result) const;
+
+ private:
+  std::vector<std::optional<Diagnosis>> cells_;  ///< by grid index
+};
+
+/// Runs the grid through a SweepDiagnoser and diagnoses every successful
+/// cell. The config's observe hook is replaced; each cell's FaultPlan
 /// is reconstructed from its coordinates exactly as the sweep engine built
 /// it, so blackout windows are available as evidence.
 SweepDiagnosis diagnose_sweep(batch::SweepConfig config);

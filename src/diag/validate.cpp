@@ -79,6 +79,40 @@ std::vector<Span> widen(const std::vector<Span>& merged, Seconds grace) {
   return merge_spans(spans);
 }
 
+/// One addition to a ScenarioScore's sums. A cell's parts are recorded on
+/// its worker in scoring order and replayed in grid order afterwards, so
+/// every sum adds the same terms in the same order at any job count.
+struct ScorePart {
+  Seconds truth_s = 0;
+  Seconds truth_hit_s = 0;
+  Seconds blamed_s = 0;
+  Seconds blamed_hit_s = 0;
+};
+
+/// Scores one successful cell: one part per problem interval (its overlap
+/// with the truth windows), then one per fault.injected blame span.
+std::vector<ScorePart> score_cell(const batch::CellResult& cell,
+                                  const obs::Observer& observer) {
+  const std::optional<faults::FaultPlan> plan = batch::fault_plan_for(cell);
+  const std::vector<obs::Event> events = observer.trace.snapshot();
+  const Diagnosis diagnosis = diagnose(cell.result, events, plan);
+  const std::vector<Span> truth = truth_windows(events, plan);
+  const std::vector<Span> lenient = widen(truth, kCarryGrace);
+  std::vector<ScorePart> parts;
+  for (const IntervalDiagnosis& interval : diagnosis.intervals) {
+    parts.push_back(
+        {.truth_s = overlap(truth, interval.start, interval.end)});
+    for (const BlameSpan& span : interval.spans) {
+      if (span.cause != Cause::kFaultInjected) continue;
+      parts.push_back(
+          {.truth_hit_s = overlap(truth, span.start, span.end),
+           .blamed_s = span.duration(),
+           .blamed_hit_s = overlap(lenient, span.start, span.end)});
+    }
+  }
+  return parts;
+}
+
 }  // namespace
 
 double ValidationReport::min_precision() const {
@@ -118,26 +152,26 @@ ValidationReport validate(const ValidateOptions& options) {
     config.fault_scenarios = {scenario.name};
     config.session_duration = options.duration;
     config.content_duration = options.duration;
-    config.observe = [&score](const batch::CellResult& cell,
+    // Scored on the workers into per-cell slots (nullopt: the cell failed),
+    // summed in grid order below.
+    std::vector<std::optional<std::vector<ScorePart>>> cells(
+        batch::grid_size(config));
+    config.observe = [&cells](std::size_t index,
+                              const batch::CellResult& cell,
                               const obs::Observer& observer) {
-      if (!cell.ok) return;
-      ++score.cells;
-      const std::optional<faults::FaultPlan> plan = batch::fault_plan_for(cell);
-      const std::vector<obs::Event> events = observer.trace.snapshot();
-      const Diagnosis diagnosis = diagnose(cell.result, events, plan);
-      const std::vector<Span> truth = truth_windows(events, plan);
-      const std::vector<Span> lenient = widen(truth, kCarryGrace);
-      for (const IntervalDiagnosis& interval : diagnosis.intervals) {
-        score.truth_s += overlap(truth, interval.start, interval.end);
-        for (const BlameSpan& span : interval.spans) {
-          if (span.cause != Cause::kFaultInjected) continue;
-          score.blamed_s += span.duration();
-          score.truth_hit_s += overlap(truth, span.start, span.end);
-          score.blamed_hit_s += overlap(lenient, span.start, span.end);
-        }
-      }
+      if (cell.ok) cells[index] = score_cell(cell, observer);
     };
     batch::run_sweep(config);
+    for (const auto& parts : cells) {
+      if (!parts) continue;
+      ++score.cells;
+      for (const ScorePart& part : *parts) {
+        score.truth_s += part.truth_s;
+        score.truth_hit_s += part.truth_hit_s;
+        score.blamed_s += part.blamed_s;
+        score.blamed_hit_s += part.blamed_hit_s;
+      }
+    }
     report.scores.push_back(std::move(score));
   }
   return report;

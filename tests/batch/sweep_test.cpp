@@ -117,19 +117,66 @@ TEST(SweepEngine, JsonlCarriesErrorsWithCoordinates) {
   EXPECT_EQ(error_lines, 2);
 }
 
-TEST(SweepEngine, ObserverCallbackRunsInGridOrderWithPopulatedTraces) {
-  SweepConfig config = small_grid({1, 7});
-  config.jobs = 4;
-  std::vector<std::string> order;
-  std::vector<std::size_t> trace_sizes;
-  config.observe = [&](const CellResult& cell, const obs::Observer& observer) {
-    order.push_back(format("%s/%d", cell.service.c_str(), cell.profile_id));
-    trace_sizes.push_back(observer.trace.size());
+TEST(SweepEngine, ObserveHookRunsOncePerCellWithIndexKeyedResults) {
+  // The hook runs on the workers; each call writes only its own index's
+  // slots, and the slots must come out the same at jobs 1 and 4.
+  struct Seen {
+    std::vector<int> calls;
+    std::vector<std::string> cells;
+    std::vector<std::size_t> trace_sizes;
+    std::vector<std::uint64_t> trace_emitted;
   };
-  run_sweep(config);
+  auto run = [](int jobs) {
+    SweepConfig config = small_grid({1, 7});
+    config.jobs = jobs;
+    const std::size_t n = grid_size(config);
+    Seen seen{std::vector<int>(n), std::vector<std::string>(n),
+              std::vector<std::size_t>(n), std::vector<std::uint64_t>(n)};
+    config.observe = [&seen](std::size_t index, const CellResult& cell,
+                             const obs::Observer& observer) {
+      ++seen.calls[index];
+      seen.cells[index] =
+          format("%s/%d", cell.service.c_str(), cell.profile_id);
+      seen.trace_sizes[index] = observer.trace.size();
+      seen.trace_emitted[index] = observer.trace.emitted();
+    };
+    const SweepResult result = run_sweep(config);
+    EXPECT_EQ(result.cells.size(), n);
+    for (std::size_t i = 0; i < result.cells.size(); ++i) {
+      EXPECT_EQ(result.cells[i].trace_emitted, seen.trace_emitted[i])
+          << "the hook sees the observer the cell's result was read from";
+    }
+    return seen;
+  };
+  const Seen serial = run(1);
+  const Seen parallel = run(4);
+  EXPECT_EQ(serial.calls, std::vector<int>(4, 1));
+  EXPECT_EQ(parallel.calls, std::vector<int>(4, 1));
   const std::vector<std::string> expected = {"TH/1", "TH/7", "TD/1", "TD/7"};
-  EXPECT_EQ(order, expected);
-  for (std::size_t size : trace_sizes) EXPECT_GT(size, 0u);
+  EXPECT_EQ(serial.cells, expected);
+  EXPECT_EQ(parallel.cells, expected);
+  for (std::size_t size : serial.trace_sizes) EXPECT_GT(size, 0u);
+  EXPECT_EQ(parallel.trace_sizes, serial.trace_sizes);
+  EXPECT_EQ(parallel.trace_emitted, serial.trace_emitted);
+}
+
+TEST(SweepEngine, ObserveHookRunsAfterProgressForFailedCellsToo) {
+  SweepConfig config = small_grid({1, 99});
+  config.jobs = 2;
+  const std::size_t n = grid_size(config);
+  std::vector<int> progressed(n);
+  std::vector<int> observed_after_progress(n);
+  config.progress = [&](const CellResult& cell, std::size_t, std::size_t) {
+    ++progressed[static_cast<std::size_t>(cell.cell.service_index * 2 +
+                                          cell.cell.profile_index)];
+  };
+  config.observe = [&](std::size_t index, const CellResult&,
+                       const obs::Observer&) {
+    observed_after_progress[index] = progressed[index];
+  };
+  const SweepResult result = run_sweep(config);
+  EXPECT_EQ(result.failed, 2);
+  EXPECT_EQ(observed_after_progress, std::vector<int>(n, 1));
 }
 
 TEST(SweepEngine, ProgressTicksOncePerCell) {

@@ -643,21 +643,19 @@ int cmd_report(Args& args) {
   // --metrics-out is an alias for --jsonl here; both mean the report JSONL.
   if (jsonl_path.empty()) jsonl_path = flags.outputs.metrics_path;
 
-  // --diag shares the single sweep pass: the diag fold runs in the post-join
-  // observe callback (grid order, one thread), so the appended tables are
-  // byte-identical for every --jobs value, like the metrics rollups.
-  diag::SweepDiagnosis sweep_diag;
-  if (with_diag) {
-    config.observe = [&sweep_diag](const batch::CellResult& cell,
-                                   const obs::Observer& observer) {
-      diag::fold_cell(sweep_diag, cell, observer);
-    };
-  }
+  // --diag shares the single sweep pass: each cell is diagnosed on its
+  // worker by the observe hook and the diagnoses are folded in grid order
+  // after the sweep, so the appended tables are byte-identical for every
+  // --jobs value, like the metrics rollups.
+  diag::SweepDiagnoser diagnoser;
+  if (with_diag) diagnoser.install(config);
 
   const std::optional<batch::SweepResult> run =
       sweep_grid(config, flags, "report");
   if (!run) return 2;
   const batch::SweepResult& result = *run;
+  const diag::SweepDiagnosis sweep_diag =
+      with_diag ? diagnoser.fold(result) : diag::SweepDiagnosis{};
 
   batch::SweepMetrics metrics = batch::aggregate_metrics(result);
   std::string text = batch::report_text(metrics);
