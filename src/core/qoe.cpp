@@ -2,19 +2,66 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace vodx::core {
 
 namespace {
 
-/// First wall time at which the (1 Hz, integer) playing position reached
-/// `position`; -1 if it never did.
-Seconds wall_when_position_reached(const UiInference& ui, Seconds position) {
-  for (const ProgressSample& s : ui.samples) {
-    if (static_cast<Seconds>(s.progress) >= position - 1e-9) return s.wall;
+/// Finds the first wall time at which the (1 Hz, integer) playing position
+/// reached a given position. Queried with non-decreasing positions it scans
+/// the samples once: the first sample at or past a position is never before
+/// the first one at or past a smaller position, whatever seeks did.
+class PositionReached {
+ public:
+  explicit PositionReached(const std::vector<ProgressSample>& samples)
+      : samples_(samples) {}
+
+  /// -1 if the position was never reached.
+  Seconds wall(Seconds position) {
+    const Seconds threshold = position - 1e-9;
+    if (threshold < last_threshold_) next_ = 0;
+    last_threshold_ = threshold;
+    while (next_ < samples_.size() &&
+           !(static_cast<Seconds>(samples_[next_].progress) >= threshold)) {
+      ++next_;
+    }
+    return next_ < samples_.size() ? samples_[next_].wall : -1;
   }
-  return -1;
-}
+
+ private:
+  const std::vector<ProgressSample>& samples_;
+  std::size_t next_ = 0;
+  Seconds last_threshold_ = std::numeric_limits<Seconds>::lowest();
+};
+
+/// Completed video downloads grouped by segment index, each group in
+/// download order: a flat counting sort, one pass over the downloads.
+struct DownloadsByIndex {
+  std::vector<std::size_t> begin;  ///< group i is [begin[i], begin[i+1])
+  std::vector<const SegmentDownload*> downloads;
+
+  DownloadsByIndex(const std::vector<SegmentDownload>& all,
+                   int segment_count)
+      : begin(static_cast<std::size_t>(segment_count) + 1, 0) {
+    auto counted = [segment_count](const SegmentDownload& d) {
+      if (d.type != media::ContentType::kVideo || d.aborted ||
+          d.completed_at < 0) {
+        return false;
+      }
+      return d.index >= 0 && d.index < segment_count;
+    };
+    for (const SegmentDownload& d : all) {
+      if (counted(d)) ++begin[static_cast<std::size_t>(d.index) + 1];
+    }
+    for (std::size_t i = 1; i < begin.size(); ++i) begin[i] += begin[i - 1];
+    downloads.resize(begin.back());
+    std::vector<std::size_t> fill(begin.begin(), begin.end() - 1);
+    for (const SegmentDownload& d : all) {
+      if (counted(d)) downloads[fill[static_cast<std::size_t>(d.index)]++] = &d;
+    }
+  }
+};
 
 }  // namespace
 
@@ -53,18 +100,20 @@ QoeReport compute_qoe(const AnalyzedTraffic& traffic, const UiInference& ui,
       static_cast<int>(reference.segment_durations.size());
   std::vector<const SegmentDownload*> winners(
       static_cast<std::size_t>(segment_count), nullptr);
+  const DownloadsByIndex by_index(traffic.downloads, segment_count);
+  PositionReached reached(ui.samples);
 
+  // Summed in index order, as AnalyzedTrack::segment_start does.
+  Seconds seg_start = 0;
   for (int index = 0; index < segment_count; ++index) {
-    const Seconds seg_start = reference.segment_start(index);
+    const auto i = static_cast<std::size_t>(index);
+    if (index > 0) seg_start += reference.segment_durations[i - 1];
     if (seg_start >= final_position - 1e-9) break;
-    const Seconds play_wall = wall_when_position_reached(ui, seg_start);
+    const Seconds play_wall = reached.wall(seg_start);
     const SegmentDownload* winner = nullptr;
     const SegmentDownload* earliest = nullptr;
-    for (const SegmentDownload& d : traffic.downloads) {
-      if (d.type != media::ContentType::kVideo || d.index != index ||
-          d.aborted || d.completed_at < 0) {
-        continue;
-      }
+    for (std::size_t k = by_index.begin[i]; k < by_index.begin[i + 1]; ++k) {
+      const SegmentDownload& d = *by_index.downloads[k];
       if (earliest == nullptr || d.completed_at < earliest->completed_at) {
         earliest = &d;
       }
@@ -76,7 +125,7 @@ QoeReport compute_qoe(const AnalyzedTraffic& traffic, const UiInference& ui,
     }
     if (winner == nullptr) winner = earliest;
     if (winner == nullptr) continue;
-    winners[static_cast<std::size_t>(index)] = winner;
+    winners[i] = winner;
 
     DisplayedSegment shown;
     shown.index = index;

@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <tuple>
+#include <unordered_map>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -33,7 +34,8 @@ Seconds sum(const std::vector<Seconds>& xs) {
 class RequestResolver {
  public:
   /// Whole-resource segments (HLS .ts files, SS fragments): URL -> segment.
-  std::map<std::string, SegmentRef> by_url;
+  /// Only ever looked up, never iterated, so its order cannot reach output.
+  std::unordered_map<std::string, SegmentRef> by_url;
 
   /// Range-served files (DASH): URL -> list of (segment range, key).
   struct RangedSegment {
@@ -140,8 +142,7 @@ LadderBuild build_hls(const std::vector<http::TransferRecord>& records,
       int index = 0;
       for (const manifest::HlsMediaSegment& seg : playlist.segments) {
         track.segment_durations.push_back(seg.duration);
-        const std::string seg_url =
-            manifest::uri_resolve(playlist_url, seg.uri);
+        std::string seg_url = manifest::uri_resolve(playlist_url, seg.uri);
         if (seg.byterange) {
           // HLS v4 byte-range segments: sizes are on the wire, like DASH.
           track.segment_sizes.push_back(seg.byterange->length());
@@ -149,7 +150,7 @@ LadderBuild build_hls(const std::vector<http::TransferRecord>& records,
               {*seg.byterange,
                SegmentRef{media::ContentType::kVideo, level, index}});
         } else {
-          out.resolver.by_url[seg_url] =
+          out.resolver.by_url[std::move(seg_url)] =
               SegmentRef{media::ContentType::kVideo, level, index};
         }
         ++index;
@@ -403,9 +404,9 @@ LadderBuild build_smooth(const http::TransferRecord& manifest_record) {
         const auto ticks = static_cast<std::uint64_t>(
             std::llround(start_seconds *
                          static_cast<double>(manifest::kSmoothTimescale)));
-        const std::string url = manifest::uri_resolve(
-            manifest_record.url, stream.fragment_url(q.bitrate, ticks));
-        out.resolver.by_url[url] = SegmentRef{stream.type, level, index};
+        out.resolver.by_url[manifest::uri_resolve(
+            manifest_record.url, stream.fragment_url(q.bitrate, ticks))] =
+            SegmentRef{stream.type, level, index};
         start_seconds +=
             stream.chunk_durations[static_cast<std::size_t>(index)];
       }
@@ -558,7 +559,7 @@ AnalyzedTraffic analyze_traffic(const http::TrafficLog& log) {
     d.aborted = r.aborted || !r.finished();
     d.connection = r.connection;
     d.connection_use = r.connection_use;
-    out.downloads.push_back(d);
+    out.downloads.push_back(std::move(d));
     if (!full) {
       partial_groups[std::make_tuple(static_cast<int>(key->type), key->level,
                                      key->index)] = out.downloads.size() - 1;

@@ -26,6 +26,7 @@ void HttpClient::shutdown() {
   for (auto& connection : connections_) link_.detach(connection.get());
   connections_.clear();
   usage_.clear();
+  delivered_ = 0;
 }
 
 int HttpClient::free_slots() const {
@@ -62,6 +63,7 @@ net::TcpConnection* HttpClient::acquire_connection() {
     auto connection = std::make_unique<net::TcpConnection>(
         options_.tcp, format("conn%zu", connections_.size()));
     connection->set_observer(obs_);
+    connection->set_delivery_tally(&delivered_);
     link_.attach(connection.get());
     connections_.push_back(std::move(connection));
     return connections_.back().get();
@@ -176,14 +178,6 @@ void HttpClient::abort(int transfer_id) {
          obs::Field::n("bytes_received", static_cast<double>(received))});
   }
   in_flight_.erase(it);
-}
-
-Bytes HttpClient::total_delivered() const {
-  Bytes total = 0;
-  for (const auto& connection : connections_) {
-    total += connection->lifetime_delivered();
-  }
-  return total;
 }
 
 Bytes HttpClient::bytes_in_flight(int transfer_id) const {

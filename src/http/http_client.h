@@ -65,7 +65,7 @@ class HttpClient {
 
   /// Total wire bytes this client has received over its lifetime, across all
   /// connections — the input for a player-wide bandwidth meter.
-  Bytes total_delivered() const;
+  Bytes total_delivered() const { return delivered_; }
 
  private:
   struct Pending {
@@ -95,6 +95,8 @@ class HttpClient {
   std::map<net::TcpConnection*, ConnectionUsage> usage_;
   std::map<int, Pending> in_flight_;
   bool shut_down_ = false;
+  /// Sum of lifetime_delivered() over connections_, kept by the connections.
+  Bytes delivered_ = 0;
 
   obs::Observer* obs_ = nullptr;
   obs::Counter* requests_metric_ = nullptr;

@@ -196,6 +196,7 @@ void TcpConnection::advance(Seconds now, Seconds dt, Bps granted,
       Bytes newly = whole - transfer_delivered_;
       transfer_delivered_ = whole;
       lifetime_delivered_ += newly;
+      if (delivery_tally_ != nullptr) *delivery_tally_ += newly;
       grow_cwnd(static_cast<Bytes>(delivered + 0.5), granted, saturated);
       const bool tracing = obs::trace_on(obs_, obs::Category::kTcp);
       if (tracing && now - last_cwnd_emit_ >= config_.rtt) {

@@ -82,6 +82,11 @@ class TcpConnection {
   /// Total payload bytes delivered over the connection's lifetime.
   Bytes lifetime_delivered() const { return lifetime_delivered_; }
 
+  /// Adds every byte delivered from now on to `*tally` as well, for an owner
+  /// that keeps one running total over its connections. `tally` must outlive
+  /// the connection's last advance().
+  void set_delivery_tally(Bytes* tally) { delivery_tally_ = tally; }
+
   /// First-byte wait of the current/last transfer (handshake + request RTT +
   /// injected server latency); -1 while still waiting.
   Seconds transfer_wait() const;
@@ -115,6 +120,7 @@ class TcpConnection {
   double transfer_remaining_ = 0;  // fractional bytes for fluid accuracy
   Bytes transfer_delivered_ = 0;
   Bytes lifetime_delivered_ = 0;
+  Bytes* delivery_tally_ = nullptr;
   Bytes cwnd_ = 0;
   double ssthresh_ = 0;
   Seconds idle_since_ = 0;

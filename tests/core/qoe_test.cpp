@@ -2,13 +2,170 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/session.h"
+#include "testing/analysis_cases.h"
 #include "testing/fixtures.h"
 
 namespace vodx::core {
 namespace {
 
 using vodx::testing::test_spec;
+
+// Reference implementation: for every segment, rescan the UI samples for its
+// play time and every download for its renditions. compute_qoe must produce
+// exactly (not approximately) the same report.
+Seconds reference_wall_when_position_reached(const UiInference& ui,
+                                             Seconds position) {
+  for (const ProgressSample& s : ui.samples) {
+    if (static_cast<Seconds>(s.progress) >= position - 1e-9) return s.wall;
+  }
+  return -1;
+}
+
+QoeReport reference_compute_qoe(const AnalyzedTraffic& traffic,
+                                const UiInference& ui,
+                                const QoeOptions& options = {}) {
+  QoeReport report;
+  report.startup_delay = ui.startup_delay;
+  report.total_stall = ui.total_stall;
+  report.stall_count = static_cast<int>(ui.stalls.size());
+  report.total_bytes = traffic.total_payload_bytes;
+  for (const SegmentDownload& d : traffic.downloads) {
+    report.media_bytes += d.bytes;
+  }
+  if (traffic.video_tracks.empty()) return report;
+  const Seconds final_position =
+      ui.samples.empty() ? 0
+                         : static_cast<Seconds>(ui.samples.back().progress);
+  const AnalyzedTrack& reference = traffic.video_tracks.front();
+  const int segment_count =
+      static_cast<int>(reference.segment_durations.size());
+  std::vector<const SegmentDownload*> winners(
+      static_cast<std::size_t>(segment_count), nullptr);
+  for (int index = 0; index < segment_count; ++index) {
+    const Seconds seg_start = reference.segment_start(index);
+    if (seg_start >= final_position - 1e-9) break;
+    const Seconds play_wall =
+        reference_wall_when_position_reached(ui, seg_start);
+    const SegmentDownload* winner = nullptr;
+    const SegmentDownload* earliest = nullptr;
+    for (const SegmentDownload& d : traffic.downloads) {
+      if (d.type != media::ContentType::kVideo || d.index != index ||
+          d.aborted || d.completed_at < 0) {
+        continue;
+      }
+      if (earliest == nullptr || d.completed_at < earliest->completed_at) {
+        earliest = &d;
+      }
+      if (play_wall >= 0 && d.completed_at <= play_wall + 1.0) {
+        if (winner == nullptr || d.completed_at > winner->completed_at) {
+          winner = &d;
+        }
+      }
+    }
+    if (winner == nullptr) winner = earliest;
+    if (winner == nullptr) continue;
+    winners[static_cast<std::size_t>(index)] = winner;
+    DisplayedSegment shown;
+    shown.index = index;
+    shown.level = winner->level;
+    shown.declared_bitrate = winner->declared_bitrate;
+    shown.resolution = winner->resolution;
+    const Seconds seg_end = seg_start + winner->duration;
+    shown.seconds_shown = std::min(seg_end, final_position) - seg_start;
+    shown.play_wall = play_wall;
+    if (shown.seconds_shown <= 0) continue;
+    report.displayed.push_back(shown);
+  }
+  double bitrate_weighted = 0;
+  for (const DisplayedSegment& s : report.displayed) {
+    report.displayed_time += s.seconds_shown;
+    bitrate_weighted += s.declared_bitrate * s.seconds_shown;
+    report.time_by_height[s.resolution.height] += s.seconds_shown;
+  }
+  if (report.displayed_time > 0) {
+    report.average_declared_bitrate = bitrate_weighted / report.displayed_time;
+  }
+  report.low_quality_fraction =
+      report.fraction_at_or_below(options.low_quality_max_height);
+  for (std::size_t i = 1; i < report.displayed.size(); ++i) {
+    const int delta =
+        std::abs(report.displayed[i].level - report.displayed[i - 1].level);
+    if (delta > 0) ++report.switch_count;
+    if (delta > 1) ++report.nonconsecutive_switch_count;
+  }
+  for (const SegmentDownload& d : traffic.downloads) {
+    if (d.aborted) {
+      report.wasted_bytes += d.bytes;
+      continue;
+    }
+    if (d.type != media::ContentType::kVideo) continue;
+    if (d.index < 0 || d.index >= segment_count) continue;
+    const SegmentDownload* winner =
+        winners[static_cast<std::size_t>(d.index)];
+    if (winner != nullptr && winner != &d) report.wasted_bytes += d.bytes;
+  }
+  return report;
+}
+
+void expect_same_report(const QoeReport& got, const QoeReport& want) {
+  EXPECT_EQ(got.startup_delay, want.startup_delay);
+  EXPECT_EQ(got.total_stall, want.total_stall);
+  EXPECT_EQ(got.stall_count, want.stall_count);
+  EXPECT_EQ(got.average_declared_bitrate, want.average_declared_bitrate);
+  EXPECT_EQ(got.displayed_time, want.displayed_time);
+  EXPECT_EQ(got.low_quality_fraction, want.low_quality_fraction);
+  EXPECT_EQ(got.time_by_height, want.time_by_height);
+  EXPECT_EQ(got.switch_count, want.switch_count);
+  EXPECT_EQ(got.nonconsecutive_switch_count,
+            want.nonconsecutive_switch_count);
+  EXPECT_EQ(got.media_bytes, want.media_bytes);
+  EXPECT_EQ(got.total_bytes, want.total_bytes);
+  EXPECT_EQ(got.wasted_bytes, want.wasted_bytes);
+  ASSERT_EQ(got.displayed.size(), want.displayed.size());
+  for (std::size_t i = 0; i < want.displayed.size(); ++i) {
+    const DisplayedSegment& g = got.displayed[i];
+    const DisplayedSegment& w = want.displayed[i];
+    EXPECT_EQ(g.index, w.index) << "displayed " << i;
+    EXPECT_EQ(g.level, w.level) << "displayed " << i;
+    EXPECT_EQ(g.declared_bitrate, w.declared_bitrate) << "displayed " << i;
+    EXPECT_EQ(g.resolution, w.resolution) << "displayed " << i;
+    EXPECT_EQ(g.seconds_shown, w.seconds_shown) << "displayed " << i;
+    EXPECT_EQ(g.play_wall, w.play_wall) << "displayed " << i;
+  }
+}
+
+TEST(Qoe, HandBuiltCasesMatchTheRescanningReference) {
+  for (const vodx::testing::AnalysisCase& c : vodx::testing::analysis_cases()) {
+    SCOPED_TRACE(c.name);
+    expect_same_report(compute_qoe(c.traffic, c.ui, c.session_end),
+                       reference_compute_qoe(c.traffic, c.ui));
+  }
+}
+
+TEST(Qoe, RandomSessionsMatchTheRescanningReference) {
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    const vodx::testing::AnalysisCase c = vodx::testing::random_case(seed);
+    SCOPED_TRACE(c.name);
+    expect_same_report(compute_qoe(c.traffic, c.ui, c.session_end),
+                       reference_compute_qoe(c.traffic, c.ui));
+  }
+}
+
+TEST(Qoe, FirstDownloadInOrderWinsATiedCompletion) {
+  const auto cases = vodx::testing::analysis_cases();
+  const auto it = std::find_if(cases.begin(), cases.end(), [](const auto& c) {
+    return c.name == "tied_duplicate_renditions";
+  });
+  ASSERT_NE(it, cases.end());
+  const QoeReport report = compute_qoe(it->traffic, it->ui, it->session_end);
+  ASSERT_GE(report.displayed.size(), 3u);
+  EXPECT_EQ(report.displayed[1].level, 2);  // listed first of three at 5 s
+  EXPECT_EQ(report.displayed[2].level, 1);
+}
 
 SessionResult run_qoe_session(Bps bandwidth, Seconds duration = 180,
                               manifest::Protocol protocol =
