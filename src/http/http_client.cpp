@@ -40,6 +40,13 @@ int HttpClient::free_slots() const {
   return open_slots + unopened;
 }
 
+bool HttpClient::streaming() const {
+  for (const auto& connection : connections_) {
+    if (connection->streaming()) return true;
+  }
+  return false;
+}
+
 void HttpClient::set_observer(obs::Observer* observer) {
   obs_ = observer;
   for (auto& connection : connections_) connection->set_observer(observer);

@@ -58,6 +58,9 @@ class HttpClient {
   bool shut_down() const { return shut_down_; }
 
   bool can_fetch() const { return free_slots() > 0; }
+  /// True while some connection is receiving response bytes (past its
+  /// handshake and request wait).
+  bool streaming() const;
   int free_slots() const;
 
   /// Bytes received so far for an in-flight transfer.

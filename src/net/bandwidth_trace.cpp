@@ -48,30 +48,24 @@ BandwidthTrace BandwidthTrace::per_second(const std::vector<Bps>& samples) {
   return from_samples(std::move(out), static_cast<Seconds>(samples.size()));
 }
 
-Bps BandwidthTrace::at(Seconds t) const {
-  Seconds local = std::fmod(t, duration_);
-  if (local < 0) local += duration_;
-  // Last sample whose start <= local.
-  auto it = std::upper_bound(
-      samples_.begin(), samples_.end(), local,
-      [](Seconds value, const Sample& s) { return value < s.start; });
-  VODX_ASSERT(it != samples_.begin(), "trace lookup before first sample");
-  return std::prev(it)->bandwidth;
-}
-
-Seconds BandwidthTrace::next_change_after(Seconds t) const {
+BandwidthTrace::Piece BandwidthTrace::piece_at(Seconds t) const {
   if (samples_.size() == 1) {
     // One piece: replays are identical, so the value never changes.
-    return std::numeric_limits<double>::infinity();
+    return {-std::numeric_limits<double>::infinity(),
+            std::numeric_limits<double>::infinity(), samples_.front().bandwidth};
   }
   Seconds local = std::fmod(t, duration_);
   if (local < 0) local += duration_;
   const Seconds base = t - local;  // start of the replay containing t
+  // First sample whose start > local; the piece is the one before it.
   auto it = std::upper_bound(
       samples_.begin(), samples_.end(), local,
       [](Seconds value, const Sample& s) { return value < s.start; });
-  if (it == samples_.end()) return base + duration_;  // wrap boundary
-  return base + it->start;
+  VODX_ASSERT(it != samples_.begin(), "trace lookup before first sample");
+  const Sample& sample = *std::prev(it);
+  const Seconds end = it == samples_.end() ? base + duration_  // wrap boundary
+                                           : base + it->start;
+  return {base + sample.start, end, sample.bandwidth};
 }
 
 Bps BandwidthTrace::mean() const {

@@ -51,7 +51,11 @@ std::vector<Bps> max_min_shares(const std::vector<Bps>& demands,
 }
 
 Link::Link(Simulator& sim, BandwidthTrace trace, Seconds rtt)
-    : sim_(sim), trace_(std::move(trace)), rtt_(rtt) {
+    : sim_(sim),
+      trace_(std::move(trace)),
+      capacity_(trace_),
+      rtt_(rtt),
+      last_tick_(sim.now()) {
   sim_.add_tick_client(this);
 }
 
@@ -85,17 +89,7 @@ Bytes Link::total_delivered() const {
 }
 
 void Link::tick(Seconds now, Seconds dt) {
-  // Snapshot: completion callbacks inside advance() may attach/detach
-  // connections; newly attached ones start participating next tick.
-  scratch_snapshot_.assign(connections_.begin(), connections_.end());
-  scratch_demands_.resize(scratch_snapshot_.size());
-  for (std::size_t i = 0; i < scratch_snapshot_.size(); ++i) {
-    scratch_demands_[i] = scratch_snapshot_[i]->demand();
-  }
-  const Bps capacity = trace_.at(now);
-  max_min_shares(scratch_demands_, capacity, scratch_grants_,
-                 scratch_active_);
-
+  const Bps capacity = capacity_.at(now);
   if (obs::trace_on(obs_, obs::Category::kLink)) {
     // Counter tracks are sampled on change, not per tick: a 600 s session
     // over a 1 Hz bandwidth trace emits ~600 capacity points, not 60000.
@@ -105,8 +99,8 @@ void Link::tick(Seconds now, Seconds dt) {
       last_capacity_emitted_ = capacity;
     }
     int active = 0;
-    for (Bps demand : scratch_demands_) {
-      if (demand > 0) ++active;
+    for (const TcpConnection* c : connections_) {
+      if (c->streaming()) ++active;
     }
     if (active != last_active_emitted_) {
       obs_->trace.counter(now, obs::Category::kLink, "link.active_conns",
@@ -114,46 +108,93 @@ void Link::tick(Seconds now, Seconds dt) {
       last_active_emitted_ = active;
     }
   }
+  // Snapshot: completion callbacks inside advance() may attach/detach
+  // connections; newly attached ones start participating next tick.
+  scratch_snapshot_.assign(connections_.begin(), connections_.end());
+  step(now, dt, capacity, scratch_snapshot_);
+  last_tick_ = now;
+}
+
+void Link::step(Seconds now, Seconds dt, Bps capacity,
+                const std::vector<TcpConnection*>& flows) {
+  scratch_demands_.resize(flows.size());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    scratch_demands_[i] = flows[i]->demand();
+  }
+  max_min_shares(scratch_demands_, capacity, scratch_grants_,
+                 scratch_active_);
 
   const std::uint64_t epoch = detach_epoch_;
-  for (std::size_t i = 0; i < scratch_snapshot_.size(); ++i) {
+  for (std::size_t i = 0; i < flows.size(); ++i) {
     // A callback earlier in this loop may have detached this connection;
     // the liveness scan only runs once a detach has actually happened
     // (population-scale ticks would otherwise go quadratic on it).
     if (detach_epoch_ != epoch &&
-        std::find(connections_.begin(), connections_.end(),
-                  scratch_snapshot_[i]) == connections_.end()) {
+        std::find(connections_.begin(), connections_.end(), flows[i]) ==
+            connections_.end()) {
       continue;
     }
     const bool saturated = scratch_grants_[i] + 1e-6 < scratch_demands_[i];
-    scratch_snapshot_[i]->advance(now, dt, scratch_grants_[i], saturated);
+    flows[i]->advance(now, dt, scratch_grants_[i], saturated);
   }
 }
 
 Seconds Link::next_wake(Seconds now) {
-  // Any in-flight transfer makes the fluid model integrate per tick.
-  for (TcpConnection* c : connections_) {
-    if (c->busy()) return now;
+  const BandwidthTrace::Piece& piece = capacity_.piece(now);
+  const bool tracing = obs::trace_on(obs_, obs::Category::kLink);
+  // A pending on-change emission must land on the very next tick.
+  if (tracing && piece.bandwidth != last_capacity_emitted_) return now;
+  int streaming = 0;
+  bool busy = false;
+  for (const TcpConnection* c : connections_) {
+    if (c->streaming()) ++streaming;
+    busy = busy || c->busy();
   }
-  if (obs::trace_on(obs_, obs::Category::kLink)) {
-    // Pending on-change emissions must land on the very next tick; after
-    // that the tracks only change at bandwidth-trace steps.
-    if (trace_.at(now) != last_capacity_emitted_) return now;
-    if (last_active_emitted_ != 0) return now;
-    return trace_.next_change_after(now);
+  if (tracing && streaming != last_active_emitted_) return now;
+  // Idle and untraced, nothing here can change until a new transfer starts
+  // (inside some other executed tick).
+  if (!busy && !tracing) return kNeverWakes;
+  // A trace step changes the shares (and the capacity track).
+  Seconds wake = piece.end;
+  if (!busy) return wake;
+  const Seconds dt = sim_.tick_duration();
+  const double link_bytes = piece.bandwidth * dt / 8.0;
+  const double fair_bytes = link_bytes / std::max(streaming, 1);
+  for (const TcpConnection* c : connections_) {
+    wake = std::min(wake, c->next_wake(now, dt, link_bytes, fair_bytes));
+    if (wake <= now + dt) return now;  // the next tick executes anyway
   }
-  return kNeverWakes;
+  return wake;
 }
 
 void Link::fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) {
-  (void)ticks;
-  // Every connection is idle or closed over a skipped span (a busy one pins
-  // next_wake to `now`), so the only per-tick effect advance() would have
-  // had is resetting the instrumentation-only last-granted rate — which is
-  // idempotent, so one zero-grant advance replays any number of ticks.
+  // Idle and closed connections ignore advance() and demand nothing, so
+  // leaving them out of the replay changes no share and no float: the
+  // shares are computed over the flows with demand, in attach order.
+  scratch_snapshot_.clear();
+  scratch_phases_.clear();
   for (TcpConnection* c : connections_) {
-    c->advance(now, dt, /*granted=*/0, /*saturated=*/false);
+    if (!c->busy()) continue;
+    scratch_snapshot_.push_back(c);
+    scratch_phases_.push_back(c->phase());
   }
+  if (!scratch_snapshot_.empty()) {
+    // next_wake() stops every span before the next trace step, so one
+    // capacity serves the whole span.
+    Seconds t = last_tick_ + dt;
+    const Bps capacity = capacity_.at(t);
+    for (std::uint64_t i = 0; i < ticks; ++i) {
+      if (i > 0) t += dt;  // the simulator's own recurrence
+      step(t, dt, capacity, scratch_snapshot_);
+      for (std::size_t k = 0; k < scratch_snapshot_.size(); ++k) {
+        VODX_ASSERT(scratch_snapshot_[k]->phase() == scratch_phases_[k],
+                    "a connection changed phase inside a skipped span");
+      }
+    }
+    VODX_ASSERT(t == now && capacity_.at(t) == capacity,
+                "skipped span left its tick grid or its trace piece");
+  }
+  last_tick_ = now;
 }
 
 }  // namespace vodx::net

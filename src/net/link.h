@@ -6,12 +6,15 @@
 // additionally capped by each connection's own cwnd/RTT (handled inside
 // TcpConnection::advance).
 //
-// The link is a TickClient: while any connection is mid-transfer it ticks
-// densely (the fluid model integrates per tick), but once every connection
-// is idle its only remaining observable work is the on-change capacity /
-// active-count emission, so next_wake() points the simulator at the next
-// bandwidth-trace step (BandwidthTrace::next_change_after) — which also
-// guarantees the obs capacity timeline records every trace step losslessly.
+// The link is a TickClient. next_wake() names the earliest tick at which
+// anything observable could happen on it: a handshake or request wait
+// expiring, a transfer completing (bounded below by its remaining bytes
+// over the link's per-tick capacity), a bandwidth-trace step
+// (BandwidthTrace::next_change_after, which also keeps the obs capacity
+// timeline lossless) or a due trace sample. Between those ticks the fluid
+// model still integrates per tick: fast_forward() replays exactly the
+// per-tick step tick() runs, so a skipped span moves the same bytes and
+// grows the same windows to the last bit.
 #pragma once
 
 #include <vector>
@@ -73,12 +76,25 @@ class Link : public TickClient {
   // --- TickClient --------------------------------------------------------
   void tick(Seconds now, Seconds dt) override;
   Seconds next_wake(Seconds now) override;
+  /// Replays step() once per skipped tick at the capacity of the span (a
+  /// span never crosses a trace step). Asserts that no connection changes
+  /// phase inside the span: a late wake fails loudly instead of silently
+  /// completing a transfer off the tick grid.
   void fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) override;
 
  private:
+  /// The fluid step shared by tick() and the replay: max-min shares of
+  /// `capacity` over `flows`, then every flow advances by one tick.
+  void step(Seconds now, Seconds dt, Bps capacity,
+            const std::vector<TcpConnection*>& flows);
+
   Simulator& sim_;
   BandwidthTrace trace_;
+  TraceCursor capacity_;
   Seconds rtt_;
+  /// End time of the last tick executed or replayed; a replayed span
+  /// rebuilds its tick times from here with the simulator's `+= dt`.
+  Seconds last_tick_;
   std::vector<TcpConnection*> connections_;
   Bytes delivered_by_detached_ = 0;
   /// Bumped by every detach; lets tick() skip the per-connection liveness
@@ -91,6 +107,7 @@ class Link : public TickClient {
   std::vector<Bps> scratch_demands_;
   std::vector<Bps> scratch_grants_;
   std::vector<std::size_t> scratch_active_;
+  std::vector<TcpConnection::Phase> scratch_phases_;
 
   obs::Observer* obs_ = nullptr;
   int obs_track_ = 0;

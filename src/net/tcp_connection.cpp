@@ -1,9 +1,11 @@
 #include "net/tcp_connection.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/error.h"
+#include "net/simulator.h"
 
 namespace vodx::net {
 
@@ -136,6 +138,63 @@ void TcpConnection::abort_transfer() {
 Bps TcpConnection::demand() const {
   if (phase_ != Phase::kStreaming) return 0;
   return static_cast<double>(cwnd_) * 8.0 / config_.rtt;
+}
+
+Seconds TcpConnection::next_wake(Seconds now, Seconds dt, double link_bytes,
+                                 double fair_bytes) const {
+  switch (phase_) {
+    case Phase::kClosed:
+    case Phase::kIdle:
+      return TickClient::kNeverWakes;
+    case Phase::kHandshake:
+    case Phase::kRequestWait:
+      // The wait expires on the first tick whose time reaches this, to
+      // within float error far below the simulator's 1e-9 wake slack.
+      return now + wait_remaining_;
+    case Phase::kStreaming:
+      break;
+  }
+  // Max-min fairness grants a streaming flow at least the smaller of its
+  // demand (never below the initial window per RTT) and the equal share.
+  // Two bytes rather than one keeps rounding in the shares irrelevant.
+  const double floor_bytes = std::min(
+      fair_bytes, static_cast<double>(config_.initial_cwnd) * dt / config_.rtt);
+  if (floor_bytes < 2.0) return now;
+  // The transfer cannot finish before either lower bound on its remaining
+  // ticks; wake one tick before the larger one.
+  const double ticks =
+      std::max(transfer_remaining_ / link_bytes, window_bound_ticks(dt));
+  Seconds wake = now + (ticks - 1.0) * dt;
+  if (obs::trace_on(obs_, obs::Category::kTcp)) {
+    wake = std::min(wake, last_cwnd_emit_ + config_.rtt);
+  }
+  return wake;
+}
+
+double TcpConnection::window_bound_ticks(Seconds dt) const {
+  // A tick carries at most cwnd * q bytes (the grant never exceeds the
+  // demand, cwnd per RTT), and grow_cwnd adds at most the bytes acked plus
+  // one in slow start, and at most mss * q + 1 in congestion avoidance when
+  // cwnd >= mss. A connection in congestion avoidance stays there for the
+  // rest of a span (only start_transfer re-enters slow start).
+  if (config_.initial_cwnd < config_.mss) return 0;
+  const double q = dt / config_.rtt;
+  const double w = static_cast<double>(cwnd_);
+  const double r = transfer_remaining_;
+  double ticks = 0;
+  if (w >= ssthresh_) {
+    // k ticks carry at most q * (k * w + g * k * (k - 1) / 2) bytes.
+    const double g = static_cast<double>(config_.mss) * q + 1.0;
+    const double a = q * g / 2.0;
+    const double b = q * (w - g / 2.0);
+    ticks = (-b + std::sqrt(b * b + 4.0 * a * r)) / (2.0 * a);
+  } else {
+    // The window grows at most to (w + 1/q) * (1 + q)^k - 1/q, so k ticks
+    // carry at most (w + 1/q) * ((1 + q)^k - 1) bytes.
+    ticks = std::log1p(r / (w + 1.0 / q)) / std::log1p(q);
+  }
+  // Shave off far more than the float error of the closed forms.
+  return ticks * (1.0 - 1e-9) - 1e-6;
 }
 
 void TcpConnection::enter_streaming(Seconds now) {

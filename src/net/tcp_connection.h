@@ -39,6 +39,7 @@ struct TcpConfig {
 class TcpConnection {
  public:
   using CompletionFn = std::function<void()>;
+  enum class Phase { kClosed, kHandshake, kRequestWait, kStreaming, kIdle };
 
   TcpConnection(TcpConfig config, std::string label);
 
@@ -73,7 +74,9 @@ class TcpConnection {
   /// start_transfer re-pays the handshake.
   void close();
 
+  Phase phase() const { return phase_; }
   bool busy() const { return phase_ != Phase::kClosed && phase_ != Phase::kIdle; }
+  bool streaming() const { return phase_ == Phase::kStreaming; }
   bool connected() const { return phase_ != Phase::kClosed; }
 
   /// Bytes of the current transfer delivered so far.
@@ -104,11 +107,24 @@ class TcpConnection {
   /// when the link could not satisfy this connection's full demand.
   void advance(Seconds now, Seconds dt, Bps granted, bool saturated);
 
- private:
-  enum class Phase { kClosed, kHandshake, kRequestWait, kStreaming, kIdle };
+  /// Earliest instant at which advance() could next do observable work:
+  /// end a handshake or request wait, finish the transfer (woken at least
+  /// one tick early), or emit a tcp.cwnd_kb sample. `link_bytes` bounds what
+  /// one tick of `dt` can deliver to this connection (the whole link
+  /// capacity) and `fair_bytes` is the link's equal share per streaming
+  /// flow. Never late; returns `now` when a tick could move fewer than two
+  /// whole bytes (so every skipped streaming tick delivers payload) and
+  /// TickClient::kNeverWakes when idle or closed.
+  Seconds next_wake(Seconds now, Seconds dt, double link_bytes,
+                    double fair_bytes) const;
 
+ private:
   void enter_streaming(Seconds now);
   void grow_cwnd(Bytes acked, Bps granted, bool saturated);
+  /// Lower bound on the ticks the transfer needs from the window alone
+  /// (cwnd per RTT, growing at most as grow_cwnd can); 0 when it does not
+  /// apply.
+  double window_bound_ticks(Seconds dt) const;
   std::vector<obs::Field> transfer_end_fields(Bytes delivered,
                                               bool aborted) const;
 

@@ -182,10 +182,7 @@ void Player::pause() { user_paused_ = true; }
 void Player::resume() { user_paused_ = false; }
 
 void Player::seek(Seconds target) {
-  if (state_ != PlayerState::kStartup && state_ != PlayerState::kPlaying &&
-      state_ != PlayerState::kRebuffering) {
-    return;  // nothing to seek in
-  }
+  if (!active()) return;  // nothing to seek in
   target = std::clamp(target, 0.0, presentation_duration_ - 0.5);
   events_.seeks.push_back(SeekEvent{sim_.now(), position_, target});
   if (obs::trace_on(obs_, obs::Category::kPlayer)) {
@@ -293,6 +290,11 @@ const manifest::ClientTrack& Player::audio_track() const {
   return presentation_.audio.front();
 }
 
+bool Player::active() const {
+  return state_ == PlayerState::kStartup || state_ == PlayerState::kPlaying ||
+         state_ == PlayerState::kRebuffering;
+}
+
 Seconds Player::playable_end() const {
   Seconds end = video_buffer_.contiguous_end(position_);
   if (presentation_.separate_audio()) {
@@ -302,17 +304,7 @@ Seconds Player::playable_end() const {
 }
 
 void Player::tick(Seconds /*now*/, Seconds dt) {
-  switch (state_) {
-    case PlayerState::kIdle:
-    case PlayerState::kResolving:
-    case PlayerState::kEnded:
-    case PlayerState::kFailed:
-      return;
-    case PlayerState::kStartup:
-    case PlayerState::kPlaying:
-    case PlayerState::kRebuffering:
-      break;
-  }
+  if (!active()) return;
   // Meter "busy" time as ticks in which payload actually flowed; pure
   // protocol waits (handshakes, request RTTs) would bias the rate estimate
   // by an amount that varies with segment size.
@@ -330,50 +322,38 @@ void Player::tick(Seconds /*now*/, Seconds dt) {
 }
 
 Seconds Player::next_wake(Seconds now) {
-  switch (state_) {
-    case PlayerState::kIdle:
-    case PlayerState::kResolving:
-    case PlayerState::kEnded:
-    case PlayerState::kFailed:
-      // tick() early-returns in these states; manifest resolution keeps the
-      // link busy, which is what drives the kResolving phase forward.
-      return net::TickClient::kNeverWakes;
-    case PlayerState::kStartup:
-    case PlayerState::kPlaying:
-    case PlayerState::kRebuffering:
-      break;
-  }
-  // In-flight fetches complete inside the link's tick; stay dense.
-  if (!fetches_.empty()) return now;
-  // Bytes flowed since our last tick: the bandwidth meter must account the
-  // busy tick before anything can be skipped.
-  if (client_->total_delivered() != meter_last_seen_) return now;
+  // tick() early-returns outside the active states; manifest resolution
+  // keeps the link busy, which is what drives the kResolving phase forward.
+  if (!active()) return net::TickClient::kNeverWakes;
   // The per-segment SR probe runs an ABR decision (counter + trace event)
   // every tick while future fetching is paused — never coast it.
   if (config_.sr == SrPolicy::kPerSegment) return now;
+  // schedule_downloads issues everything it can, and what it cannot issue
+  // stays blocked until a fetch ends or a timed condition below comes due.
+  if (schedule_pending_) return now;
 
-  // A pipeline that could issue a fetch right now means no coasting. (With
-  // no fetches in flight this cannot normally happen — the previous tick
-  // would have issued it — but stay conservative.)
-  const int video_count = static_cast<int>(video_track(0).segments.size());
-  if (!paused_[kVideoPipe] && next_index_[kVideoPipe] < video_count) {
-    return now;
-  }
-  int audio_count = 0;
-  if (presentation_.separate_audio()) {
-    audio_count = static_cast<int>(audio_track().segments.size());
-    if (!paused_[kAudioPipe] && next_index_[kAudioPipe] < audio_count) {
-      return now;
-    }
-  }
-
+  // In-flight fetches complete inside the link's tick, which the link's own
+  // wake covers; while they stream, the per-tick work left here is the
+  // bandwidth meter, which fast_forward replays.
   Seconds wake = net::TickClient::kNeverWakes;
   if (seekbar_) wake = std::min(wake, next_seekbar_at_);
   if (obs::trace_on(obs_, obs::Category::kPlayer)) {
     wake = std::min(wake, next_obs_sample_at_);
   }
+  const Seconds dt = sim_.tick_duration();
+  if (config_.fetch_timeout > 0) {
+    // check_fetch_timeouts expires a fetch once now - fetch_timeout reaches
+    // its issue time; wake a tick before that.
+    for (const auto& [key, info] : fetches_) {
+      wake = std::min(wake, info.issued_at + config_.fetch_timeout - dt);
+    }
+  }
   for (int pipe : {kVideoPipe, kAudioPipe}) {
-    if (!retries_[pipe].empty()) {
+    // A retry the last schedule_downloads already saw eligible waits on a
+    // free connection (a fetch ending) or an unpaused pipeline (the resume
+    // crossing below), not on the clock.
+    if (!retries_[pipe].empty() &&
+        retries_[pipe].front().eligible_at > last_scheduled_at_) {
       wake = std::min(wake, std::max(now, retries_[pipe].front().eligible_at));
     }
   }
@@ -385,21 +365,27 @@ Seconds Player::next_wake(Seconds now) {
     Seconds target = std::min(playable_end(), presentation_duration_);
     const BufferedSegment* current = video_buffer_.at_position(position_);
     if (current != nullptr) {
+      // The next advance_playback records the current segment's display
+      // first if it is new (playback resuming after a stall).
+      if (current->index != last_display_index_) return now;
       // Entering the next segment records a display event.
       target = std::min(target, current->start + current->duration);
     }
-    // A paused pipeline with future segments resumes (and fetches) once
-    // buffered falls to the resuming threshold.
-    auto resume_crossing = [&](int pipe, int count) {
-      if (!paused_[pipe] || next_index_[pipe] >= count) return;
+    // A paused pipeline with something left to fetch resumes once buffered
+    // falls to the resuming threshold.
+    auto resume_crossing = [&](int pipe) {
+      if (!paused_[pipe]) return;
+      const manifest::ClientTrack& track =
+          pipe == kVideoPipe ? video_track(0) : audio_track();
+      if (next_index_[pipe] >= static_cast<int>(track.segments.size()) &&
+          retries_[pipe].empty()) {
+        return;
+      }
       target = std::min(target, buffer_of(pipe).contiguous_end(position_) -
                                     config_.resuming_threshold);
     };
-    resume_crossing(kVideoPipe, video_count);
-    if (presentation_.separate_audio()) {
-      resume_crossing(kAudioPipe, audio_count);
-    }
-    const Seconds dt = sim_.tick_duration();
+    resume_crossing(kVideoPipe);
+    if (presentation_.separate_audio()) resume_crossing(kAudioPipe);
     wake = std::min(wake, now + (target - position_) - 2 * dt);
   }
   return wake;
@@ -407,16 +393,35 @@ Seconds Player::next_wake(Seconds now) {
 
 void Player::fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) {
   (void)now;
-  if (state_ != PlayerState::kPlaying || user_paused_) return;
-  // Replay advance_playback's position recurrence tick by tick. The limit
-  // is loop-invariant over a skipped span (no downloads complete, and the
-  // contiguous run containing the position cannot shrink ahead of it), and
-  // next_wake guarantees no display boundary or state threshold is crossed,
-  // so the clamped additions are the span's only effect.
-  const Seconds limit = std::min(playable_end(), presentation_duration_);
+  if (!active()) return;
+  // Bandwidth meter: the link ends a span before any streaming tick could
+  // move less than a whole byte (TcpConnection::next_wake), so with one of
+  // our connections streaming every skipped tick was a busy tick. The link
+  // registers before any player (a player is built on a constructed link),
+  // so its replay has already delivered the span's bytes.
+  const bool metering = client_->streaming();
+  // Playback: the limit is loop-invariant over a skipped span (no downloads
+  // complete, and the contiguous run containing the position cannot shrink
+  // ahead of it), and next_wake guarantees no display boundary or state
+  // threshold is crossed, so the clamped additions are the span's only
+  // effect.
+  const bool playing = state_ == PlayerState::kPlaying && !user_paused_;
+  if (!metering && !playing) return;
+  const Seconds limit =
+      playing ? std::min(playable_end(), presentation_duration_) : 0;
+  // Both recurrences tick by tick, exactly as tick() would run them.
+  Seconds busy = meter_busy_time_;
+  Seconds position = position_;
   for (std::uint64_t i = 0; i < ticks; ++i) {
-    position_ = std::min(position_ + dt, limit);
+    if (metering) busy += dt;
+    if (playing) position = std::min(position + dt, limit);
   }
+  if (metering) {
+    meter_busy_time_ = busy;
+    meter_last_seen_ = client_->total_delivered();
+  }
+  if (!playing) return;
+  position_ = position;
   video_buffer_.consume_until(position_);
   if (presentation_.separate_audio()) audio_buffer_.consume_until(position_);
 }
@@ -447,8 +452,9 @@ void Player::record_display_if_new() {
 
 void Player::update_state() {
   const Seconds duration = presentation_duration_;
-  const Seconds ahead = playable_end() - position_;
-  const bool content_exhausted = playable_end() >= duration - kEps;
+  const Seconds end = playable_end();
+  const Seconds ahead = end - position_;
+  const bool content_exhausted = end >= duration - kEps;
 
   if (state_ == PlayerState::kStartup) {
     const bool enough_seconds = ahead >= config_.startup_buffer - kEps;
@@ -512,10 +518,7 @@ void Player::emit_seekbar() {
 // ---------------------------------------------------------------------------
 
 void Player::schedule_downloads() {
-  if (state_ != PlayerState::kStartup && state_ != PlayerState::kPlaying &&
-      state_ != PlayerState::kRebuffering) {
-    return;
-  }
+  if (!active()) return;
 
   // Update pause/resume latches (§3.3.2 download control).
   auto update_latch = [&](int pipe) {
@@ -556,6 +559,8 @@ void Player::schedule_downloads() {
     }
     if (!issued) break;
   }
+  schedule_pending_ = false;
+  last_scheduled_at_ = sim_.now();
 }
 
 bool Player::try_issue_audio_fetch() {
@@ -791,6 +796,7 @@ void Player::issue_segment_fetch(int pipeline, int index, int level,
 }
 
 void Player::on_segment_done(int fetch_key, const http::Response& response) {
+  schedule_pending_ = true;
   auto it = fetches_.find(fetch_key);
   VODX_ASSERT(it != fetches_.end(), "completion for unknown fetch");
   FetchInfo& info = it->second;

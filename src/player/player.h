@@ -150,17 +150,19 @@ class Player : public net::TickClient {
 
   // --- net::TickClient ----------------------------------------------------
   void tick(Seconds now, Seconds dt) override;
-  /// Earliest instant the player could next do observable work. Dense while
-  /// anything is in flight; while coasting (playing out of a full buffer, or
-  /// parked in a terminal/stalled state) it is the min of the next seekbar /
-  /// obs-sample emission, the next retry-eligible time, and — when playback
-  /// advances — the next position crossing (segment display boundary,
-  /// pipeline resume threshold, underrun, end of content) with a two-tick
-  /// safety margin.
+  /// Earliest instant the player could next do observable work: `now` when
+  /// a fetch ended since schedule_downloads last ran; otherwise the min of
+  /// the next seekbar / obs-sample emission, the earliest fetch-timeout
+  /// deadline, the next retry-eligible time, and — when playback advances —
+  /// the next position crossing (segment display boundary, pipeline resume
+  /// threshold, underrun, end of content) with a two-tick safety margin.
+  /// In-flight fetches do not keep it dense: they complete inside the
+  /// link's tick, and the link wakes for that.
   Seconds next_wake(Seconds now) override;
-  /// Replays the per-tick playback-position recurrence over a skipped span
-  /// (exactly `ticks` clamped additions, so the float result is identical
-  /// to having executed the ticks).
+  /// Replays the per-tick recurrences over a skipped span: the bandwidth
+  /// meter's busy time while a connection streams, and the playback
+  /// position (exactly `ticks` clamped additions, so the float results are
+  /// identical to having executed the ticks).
   void fast_forward(Seconds now, Seconds dt, std::uint64_t ticks) override;
 
  private:
@@ -227,6 +229,9 @@ class Player : public net::TickClient {
     return pipeline == 0 ? video_buffer_ : audio_buffer_;
   }
   Seconds playable_end() const;
+  /// Startup, playing or rebuffering: the states in which tick() works and
+  /// seeks and downloads happen.
+  bool active() const;
 
   net::Simulator& sim_;
   PlayerConfig config_;
@@ -252,6 +257,13 @@ class Player : public net::TickClient {
   int next_index_[2] = {0, 0};        ///< next future segment per pipeline
   int in_flight_count_[2] = {0, 0};
   std::map<int, FetchInfo> fetches_;  ///< by fetch key
+  /// A fetch ended (completed, failed or timed out) since schedule_downloads
+  /// last ran: a connection may be free, so next_wake stays dense.
+  bool schedule_pending_ = false;
+  /// When schedule_downloads last ran. A retry already eligible then and
+  /// still queued waits on a connection (or an unpaused pipeline), not on
+  /// the clock.
+  Seconds last_scheduled_at_ = -1;
   std::deque<PendingRetry> retries_[2];
   /// Jitter stream for retry backoff; consulted only when retry_jitter > 0,
   /// so stock configs never touch it.

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "common/error.h"
+#include "trace/cellular_profiles.h"
 
 namespace vodx::net {
 namespace {
@@ -116,6 +120,45 @@ TEST_P(TraceConservation, MeanMatchesIntegral) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceConservation,
                          ::testing::Values(1, 2, 3, 5, 7, 11));
+
+TEST(BandwidthTrace, PieceBoundsAgreeWithLookups) {
+  const BandwidthTrace t =
+      BandwidthTrace::from_samples({{0, 1e6}, {2.5, 3e6}, {7, 2e6}}, 10);
+  const BandwidthTrace::Piece piece = t.piece_at(13.0);  // second replay
+  EXPECT_DOUBLE_EQ(piece.start, 12.5);
+  EXPECT_DOUBLE_EQ(piece.end, 17.0);
+  EXPECT_DOUBLE_EQ(piece.bandwidth, 3e6);
+  EXPECT_DOUBLE_EQ(t.next_change_after(18.0), 20.0);  // wrap boundary
+  const BandwidthTrace::Piece flat =
+      BandwidthTrace::constant(4e6, 5).piece_at(123.0);
+  EXPECT_DOUBLE_EQ(flat.bandwidth, 4e6);
+  EXPECT_TRUE(std::isinf(flat.end) && flat.end > 0);
+}
+
+// The link reads capacity through a TraceCursor on every executed tick; a
+// cached read must equal the full lookup bit for bit at every 10 ms grid
+// tick (the simulator's `now += tick` recurrence), across the wrap-around,
+// for every catalog profile and for pieces that start off the grid.
+TEST(TraceCursor, MatchesLookupAtEveryGridTick) {
+  std::vector<BandwidthTrace> traces = trace::all_profiles();
+  traces.push_back(BandwidthTrace::from_samples(
+      {{0, 2e6}, {0.333, 0}, {1.7, 5e6}, {2.25, 5e6}, {4.005, 1e6}}, 5.5));
+  for (const BandwidthTrace& trace : traces) {
+    TraceCursor cursor(trace);
+    int mismatches = 0;
+    Seconds t = 0;
+    const Seconds end = 2.5 * trace.duration();
+    while (t < end) {
+      t += 0.01;
+      const BandwidthTrace::Piece& piece = cursor.piece(t);
+      if (piece.bandwidth != trace.at(t) ||
+          piece.end != trace.next_change_after(t)) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << trace.name();
+  }
+}
 
 }  // namespace
 }  // namespace vodx::net

@@ -7,7 +7,8 @@
 // deliberately diverse slices of (service × profile × seed × fault
 // scenario): different protocols, persistent vs non-persistent connections,
 // parallel segment downloads, separate-audio pipelines, and every fault
-// scenario in the catalog.
+// scenario in the catalog. The 600 s grids below are where the event core
+// replays whole stretches of in-flight TCP transfers as skipped spans.
 #include <gtest/gtest.h>
 
 #include "testing/differential.h"
@@ -55,6 +56,53 @@ TEST(DifferentialCore, FaultScenariosMatch) {
   EXPECT_TRUE(result.ok()) << result.summary();
   EXPECT_EQ(result.event.cells.size(),
             2u * 2u * faults::scenario_catalog().size());
+}
+
+// Streaming spans: 600 s sessions on a fast and a slow profile, through a
+// non-persistent service (a handshake and slow start per segment), six
+// parallel connections (D1) and split sub-range downloads (D3).
+TEST(DifferentialCore, StreamingSpansMatchOnLongSessions) {
+  testing::DifferentialGrid grid;
+  grid.services = {"H2", "D1", "D3"};
+  grid.profiles = {11, 14};
+  grid.duration = 600;
+  const testing::DifferentialResult result = testing::run_differential(grid);
+  EXPECT_TRUE(result.ok()) << result.summary();
+  EXPECT_EQ(result.event.cells.size(), 6u);
+}
+
+// The same kind of grid traced: every link, tcp, http and player event must
+// land on the same tick with the same fields on both cores.
+TEST(DifferentialCore, StreamingSpansMatchTraced) {
+  testing::DifferentialGrid grid;
+  grid.services = {"H1", "D1", "D3"};
+  grid.profiles = {11, 14};
+  grid.duration = 600;
+  grid.traced = true;
+  const testing::DifferentialResult result = testing::run_differential(grid);
+  EXPECT_TRUE(result.ok()) << result.summary();
+  ASSERT_EQ(result.event.cells.size(), 6u);
+  for (const batch::CellResult& cell : result.event.cells) {
+    EXPECT_GT(cell.trace_emitted, 0u) << cell.coordinates();
+  }
+}
+
+// Hardened players (fetch timeouts, jittered retries) under mid-transfer
+// resets and link blackouts: timeout deadlines, retry eligibility and
+// zero-capacity stretches all have to end spans on time.
+TEST(DifferentialCore, HardenedFaultSpansMatch) {
+  testing::DifferentialGrid grid;
+  grid.services = {"H1", "D3"};
+  grid.profiles = {11, 14};
+  grid.fault_scenarios = {"resets", "blackout"};
+  grid.duration = 600;
+  grid.hardened = true;
+  const testing::DifferentialResult result = testing::run_differential(grid);
+  EXPECT_TRUE(result.ok()) << result.summary();
+  EXPECT_EQ(result.event.cells.size(), 8u);
+  grid.traced = true;
+  const testing::DifferentialResult traced = testing::run_differential(grid);
+  EXPECT_TRUE(traced.ok()) << traced.summary();
 }
 
 }  // namespace

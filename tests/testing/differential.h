@@ -9,17 +9,23 @@
 // and ground truth), player events, fault stats and the full metrics
 // snapshot. Numeric fields must agree within 1e-9; counts and strings must
 // be exactly equal. On top of the structured comparison the serialized
-// sweep outputs (CSV + JSONL) are compared byte-for-byte.
+// sweep outputs (CSV + JSONL) are compared byte-for-byte, and a traced grid
+// compares every cell's exported event stream (obs::write_jsonl)
+// byte-for-byte too.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "batch/sweep.h"
 #include "common/strings.h"
 #include "core/qoe.h"
+#include "faults/fault_plan.h"
+#include "obs/export.h"
 
 namespace vodx::testing {
 
@@ -32,6 +38,13 @@ struct DifferentialGrid {
   std::vector<std::string> fault_scenarios = {"none"};
   Seconds duration = 60;  ///< content == session duration
   int jobs = 2;
+  /// Run every service with faults::hardened() player settings (fetch
+  /// timeouts, jittered retries, abandon-and-downswitch).
+  bool hardened = false;
+  /// Run every cell with a traced observer and compare the cells' exported
+  /// event streams byte-for-byte. Tracing adds wakes of its own (cwnd and
+  /// buffer samples), so untraced grids are where the longest spans run.
+  bool traced = false;
 };
 
 struct DifferentialResult {
@@ -141,6 +154,24 @@ inline void diff_metrics(std::vector<std::string>& out,
   }
 }
 
+/// The line of `text` containing byte `at`, clipped for a mismatch message.
+inline std::string line_at(const std::string& text, std::size_t at) {
+  if (at >= text.size()) return "<end of stream>";
+  const std::size_t begin = text.rfind('\n', at);
+  const std::size_t from = begin == std::string::npos ? 0 : begin + 1;
+  const std::size_t end = text.find('\n', at);
+  return text.substr(from, std::min<std::size_t>(
+                               (end == std::string::npos ? text.size() : end) -
+                                   from,
+                               240));
+}
+
+inline std::string event_stream(const obs::Observer& observer) {
+  std::ostringstream out;
+  obs::write_jsonl(observer.trace, out);
+  return out.str();
+}
+
 inline void diff_cell(std::vector<std::string>& out,
                       const batch::CellResult& a, const batch::CellResult& b) {
   const std::string where = a.coordinates();
@@ -204,7 +235,9 @@ inline void diff_cell(std::vector<std::string>& out,
 inline DifferentialResult run_differential(const DifferentialGrid& grid) {
   batch::SweepConfig config;
   for (const std::string& name : grid.services) {
-    config.services.push_back(services::service(name));
+    services::ServiceSpec spec = services::service(name);
+    if (grid.hardened) spec.player = faults::hardened(spec.player, 1);
+    config.services.push_back(spec);
   }
   config.profiles = grid.profiles;
   config.seeds = grid.seeds;
@@ -214,11 +247,48 @@ inline DifferentialResult run_differential(const DifferentialGrid& grid) {
   config.jobs = grid.jobs;
   config.collect_metrics = true;
 
+  // Traced grids: the event sweep keeps each cell's stream until the fixed
+  // sweep's hook for the same cell compares against it and frees it, so at
+  // most one grid's worth of streams is alive.
+  const std::size_t cells = batch::grid_size(config);
+  std::vector<std::string> streams(cells);
+  std::vector<std::string> stream_mismatches(cells);
+  if (grid.traced) {
+    config.observe = [&streams](std::size_t index, const batch::CellResult&,
+                                const obs::Observer& observer) {
+      streams[index] = detail::event_stream(observer);
+    };
+  }
   DifferentialResult out;
   config.sim_core = net::SimCore::kEvent;
   out.event = batch::run_sweep(config);
+  if (grid.traced) {
+    config.observe = [&streams, &stream_mismatches](
+                         std::size_t index, const batch::CellResult& cell,
+                         const obs::Observer& observer) {
+      const std::string fixed = detail::event_stream(observer);
+      std::string& event = streams[index];
+      if (fixed != event) {
+        std::size_t at = 0;
+        while (at < event.size() && at < fixed.size() &&
+               event[at] == fixed[at]) {
+          ++at;
+        }
+        stream_mismatches[index] = format(
+            "%s: event stream differs at byte %zu (event %zu bytes, fixed "
+            "%zu)\n  event: %s\n  fixed: %s",
+            cell.coordinates().c_str(), at, event.size(), fixed.size(),
+            detail::line_at(event, at).c_str(),
+            detail::line_at(fixed, at).c_str());
+      }
+      std::string().swap(event);
+    };
+  }
   config.sim_core = net::SimCore::kFixedTickReference;
   out.fixed = batch::run_sweep(config);
+  for (const std::string& m : stream_mismatches) {
+    if (!m.empty()) out.mismatches.push_back(m);
+  }
 
   if (out.event.cells.size() != out.fixed.cells.size()) {
     out.mismatches.push_back(
