@@ -1,17 +1,17 @@
-// Perf-regression harness: runs a fixed sweep workload with the wall-clock
-// profiler enabled and reports throughput (cells/second), peak RSS and the
-// per-zone timing breakdown. Results go to stdout as a table and to
-// BENCH_PERF.json for machines:
+// Perf-regression harness: runs a fixed sweep workload and reports
+// throughput (cells/second), the population, sampled-population and origin
+// rates, and peak RSS. Results go to stdout and to BENCH_PERF.json for
+// machines:
 //
 //   {"git_rev":..,"date":..,"workload":..,"jobs":..,"cells":..,"wall_s":..,
 //    "cells_per_s":..,"fixed_tick_cells_per_s":..,"pop_sessions_per_s":..,
-//    "peak_rss_mb":..,
-//    "zones":{"<name>":{"count":..,"total_s":..,"self_s":..},...}}
+//    "pop_timeline_sessions_per_s":..,"origin_cells_per_s":..,
+//    "peak_rss_mb":..}
 //
-// Everything here is wall-clock and machine-dependent by design — the
-// simulated results stay deterministic (the profiler never feeds sim
-// logic), only the timings vary. --check applies two gates against a
-// recorded baseline:
+// Everything here is wall-clock and machine-dependent by design; the
+// simulated results stay deterministic, only the timings vary. Per-layer
+// wall time lives in perfbench/, which times the layers from outside src/.
+// --check applies five gates against a recorded baseline:
 //
 //   1. throughput must stay within 3x of the baseline's cells_per_s — the
 //      factor is loose on purpose so the gate survives noisy CI neighbours
@@ -20,7 +20,11 @@
 //      fixed_tick_cells_per_s, the recorded throughput of the pre-event-core
 //      fixed-tick simulator. This pins the event core's speedup: losing the
 //      tick-skipping win (e.g. a client whose next_wake() collapses to
-//      "every tick") fails CI even though the 3x band would forgive it.
+//      "every tick") fails CI even though the 3x band would forgive it;
+//   3. pop_sessions_per_s and 4. origin_cells_per_s must stay within 3x of
+//      their baselines;
+//   5. timeline sampling must cost the population less than 10% of its
+//      rate, measured within this run.
 //
 //   bench_perf [--smoke] [--jobs N] [--out BENCH_PERF.json]
 //              [--check baseline.json] [--git-rev rev]
@@ -35,10 +39,10 @@
 #include <ctime>
 #include <fstream>
 #include <string>
-#include <vector>
 
+#include "arg_parse.h"
 #include "batch/sweep.h"
-#include "obs/profiler.h"
+#include "common/error.h"
 #include "pop/population.h"
 
 using namespace vodx;
@@ -70,7 +74,7 @@ int usage() {
 }
 
 /// The fixed workload. Full mode is sized to run long enough (seconds) for
-/// stable zone ratios; smoke mode finishes in well under a second so it can
+/// a stable rate; smoke mode finishes in well under a second so it can
 /// gate every CI run under the `perf` ctest label.
 batch::SweepConfig workload(const Options& options) {
   batch::SweepConfig config;
@@ -141,30 +145,18 @@ std::string render_json(const Options& options, std::size_t cells,
                         double wall_s, double cells_per_s,
                         double pop_sessions_per_s,
                         double pop_timeline_sessions_per_s,
-                        double origin_cells_per_s,
-                        const std::vector<obs::ZoneStats>& zones) {
-  std::string out = format(
+                        double origin_cells_per_s) {
+  return format(
       "{\"git_rev\":\"%s\",\"date\":\"%s\",\"workload\":\"%s\","
       "\"jobs\":%d,\"cells\":%zu,\"wall_s\":%.3f,\"cells_per_s\":%.1f,"
       "\"fixed_tick_cells_per_s\":%.1f,\"pop_sessions_per_s\":%.1f,"
       "\"pop_timeline_sessions_per_s\":%.1f,"
       "\"origin_cells_per_s\":%.1f,"
-      "\"peak_rss_mb\":%.1f,\"zones\":{",
+      "\"peak_rss_mb\":%.1f}\n",
       options.git_rev.c_str(), iso_date().c_str(),
       options.smoke ? "smoke" : "full", options.jobs, cells, wall_s,
       cells_per_s, kFixedTickBaselineCellsPerS, pop_sessions_per_s,
       pop_timeline_sessions_per_s, origin_cells_per_s, peak_rss_mb());
-  for (std::size_t i = 0; i < zones.size(); ++i) {
-    const obs::ZoneStats& z = zones[i];
-    out += format("%s\"%s\":{\"count\":%llu,\"total_s\":%.4f,"
-                  "\"self_s\":%.4f}",
-                  i == 0 ? "" : ",", z.name.c_str(),
-                  static_cast<unsigned long long>(z.count),
-                  static_cast<double>(z.total_ns) / 1e9,
-                  static_cast<double>(z.self_ns) / 1e9);
-  }
-  out += "}}\n";
-  return out;
 }
 
 /// Pulls "<key>": <number> out of a baseline BENCH_PERF.json without a JSON
@@ -198,7 +190,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--jobs") == 0) {
       const char* v = next();
       if (v == nullptr) return usage();
-      options.jobs = std::atoi(v);
+      try {
+        options.jobs = static_cast<int>(tools::parse_int_arg(v, "--jobs"));
+      } catch (const Error& e) {
+        std::fprintf(stderr, "bench_perf: %s\n", e.what());
+        return usage();
+      }
     } else if (std::strcmp(arg, "--out") == 0) {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -217,20 +214,10 @@ int main(int argc, char** argv) {
     }
   }
 
-#ifdef VODX_PROFILER_DISABLED
-  std::fprintf(stderr,
-               "bench_perf: built with -DVODX_PROFILER=OFF — zone timings "
-               "will be empty\n");
-#endif
-
-  obs::profiler_reset();
-  obs::set_profiling_enabled(true);
-
   const batch::SweepConfig config = workload(options);
   const auto start = std::chrono::steady_clock::now();
   const batch::SweepResult result = batch::run_sweep(config);
   const auto stop = std::chrono::steady_clock::now();
-  obs::set_profiling_enabled(false);
 
   if (result.failed > 0) {
     std::fprintf(stderr, "bench_perf: %d cells failed\n", result.failed);
@@ -241,11 +228,8 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(stop - start).count();
   const std::size_t cells = result.cells.size();
   const double cells_per_s = wall_s > 0 ? cells / wall_s : 0;
-  const std::vector<obs::ZoneStats> zones = obs::profiler_report();
 
-  // Population stage: many sessions sharing each tower's link. Timed
-  // outside the zone profiler snapshot so the sweep zone ratios above stay
-  // comparable across baselines.
+  // Population stage: many sessions sharing each tower's link.
   const pop::PopulationConfig pop_config = pop_workload(options);
   const auto pop_start = std::chrono::steady_clock::now();
   const pop::PopulationReport pop_report = pop::run_population(pop_config);
@@ -298,14 +282,7 @@ int main(int argc, char** argv) {
                   : 0.0);
   std::printf("  origin      %.1f cells/s (%zu cells in %.3f s)\n",
               origin_cells_per_s, origin_result.cells.size(), origin_wall_s);
-  std::printf("  peak RSS    %.1f MB\n\n", peak_rss_mb());
-  Table table({"zone", "count", "total_s", "self_s"});
-  for (const obs::ZoneStats& z : zones) {
-    table.add_row({z.name, std::to_string(z.count),
-                   format("%.4f", static_cast<double>(z.total_ns) / 1e9),
-                   format("%.4f", static_cast<double>(z.self_ns) / 1e9)});
-  }
-  table.print();
+  std::printf("  peak RSS    %.1f MB\n", peak_rss_mb());
 
   std::ofstream out(options.out_path);
   if (!out) {
@@ -314,7 +291,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   out << render_json(options, cells, wall_s, cells_per_s, pop_sessions_per_s,
-                     pop_timeline_sessions_per_s, origin_cells_per_s, zones);
+                     pop_timeline_sessions_per_s, origin_cells_per_s);
   std::fprintf(stderr, "wrote %s\n", options.out_path.c_str());
 
   if (!options.check_path.empty()) {

@@ -9,7 +9,9 @@
 #include <cstring>
 #include <vector>
 
+#include "arg_parse.h"
 #include "batch/sweep.h"
+#include "common/error.h"
 #include "common/stats.h"
 #include "core/qoe.h"
 #include "core/session.h"
@@ -73,16 +75,22 @@ Outcome evaluate(const services::ServiceSpec& spec, int jobs) {
   return out;
 }
 
+int usage() {
+  std::fprintf(stderr, "usage: abr_shootout [--jobs N]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   int jobs = 0;  // 0: one worker per hardware thread
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else {
-      std::fprintf(stderr, "usage: abr_shootout [--jobs N]\n");
-      return 2;
+    if (std::strcmp(argv[i], "--jobs") != 0 || i + 1 >= argc) return usage();
+    try {
+      jobs = static_cast<int>(tools::parse_int_arg(argv[++i], "--jobs"));
+    } catch (const Error& e) {
+      std::fprintf(stderr, "abr_shootout: %s\n", e.what());
+      return usage();
     }
   }
 

@@ -6,7 +6,6 @@
 #include "batch/thread_pool.h"
 #include "net/simulator.h"
 #include "common/strings.h"
-#include "obs/profiler.h"
 #include "core/qoe.h"
 #include "core/report.h"
 #include "core/session_factory.h"
@@ -130,7 +129,6 @@ SweepResult run_sweep(const SweepConfig& config) {
   std::size_t done = 0;
 
   parallel_for(total, config.jobs, [&](std::size_t index) {
-    VODX_PROFILE_ZONE("sweep.cell");
     const std::size_t per_service = n_profiles * n_seeds * n_faults * n_origins;
     const std::size_t per_profile = n_seeds * n_faults * n_origins;
     const std::size_t per_seed = n_faults * n_origins;

@@ -63,29 +63,11 @@ struct DownloadsByIndex {
   }
 };
 
-}  // namespace
-
-double QoeReport::fraction_at_or_below(int height) const {
-  if (displayed_time <= 0) return 0;
-  Seconds below = 0;
-  for (const auto& [h, secs] : time_by_height) {
-    if (h <= height) below += secs;
-  }
-  return below / displayed_time;
-}
-
-QoeReport compute_qoe(const AnalyzedTraffic& traffic, const UiInference& ui,
-                      Seconds session_end, const QoeOptions& options) {
-  QoeReport report;
-  report.startup_delay = ui.startup_delay;
-  report.total_stall = ui.total_stall;
-  report.stall_count = static_cast<int>(ui.stalls.size());
-  report.total_bytes = traffic.total_payload_bytes;
-
-  for (const SegmentDownload& d : traffic.downloads) {
-    report.media_bytes += d.bytes;
-  }
-  if (traffic.video_tracks.empty()) return report;
+/// Fills `report.displayed` and `report.wasted_bytes` from the two
+/// observation channels.
+void infer_displayed(const AnalyzedTraffic& traffic, const UiInference& ui,
+                     QoeReport& report) {
+  if (traffic.video_tracks.empty()) return;
 
   const Seconds final_position =
       ui.samples.empty()
@@ -139,27 +121,6 @@ QoeReport compute_qoe(const AnalyzedTraffic& traffic, const UiInference& ui,
     report.displayed.push_back(shown);
   }
 
-  // Quality aggregates.
-  double bitrate_weighted = 0;
-  for (const DisplayedSegment& s : report.displayed) {
-    report.displayed_time += s.seconds_shown;
-    bitrate_weighted += s.declared_bitrate * s.seconds_shown;
-    report.time_by_height[s.resolution.height] += s.seconds_shown;
-  }
-  if (report.displayed_time > 0) {
-    report.average_declared_bitrate = bitrate_weighted / report.displayed_time;
-  }
-  report.low_quality_fraction =
-      report.fraction_at_or_below(options.low_quality_max_height);
-
-  // Switches.
-  for (std::size_t i = 1; i < report.displayed.size(); ++i) {
-    const int delta =
-        std::abs(report.displayed[i].level - report.displayed[i - 1].level);
-    if (delta > 0) ++report.switch_count;
-    if (delta > 1) ++report.nonconsecutive_switch_count;
-  }
-
   // Waste: aborted transfers plus downloads that never rendered.
   for (const SegmentDownload& d : traffic.downloads) {
     if (d.aborted) {
@@ -172,8 +133,89 @@ QoeReport compute_qoe(const AnalyzedTraffic& traffic, const UiInference& ui,
         winners[static_cast<std::size_t>(d.index)];
     if (winner != nullptr && winner != &d) report.wasted_bytes += d.bytes;
   }
+}
 
-  (void)session_end;
+/// The part of the summary both QoE views share: byte totals from the wire
+/// log, then quality and switch aggregates over `report.displayed`, summed
+/// in displayed order.
+void summarize(const AnalyzedTraffic& traffic, const QoeOptions& options,
+               QoeReport& report) {
+  report.total_bytes = traffic.total_payload_bytes;
+  for (const SegmentDownload& d : traffic.downloads) {
+    report.media_bytes += d.bytes;
+  }
+
+  double bitrate_weighted = 0;
+  for (const DisplayedSegment& s : report.displayed) {
+    report.displayed_time += s.seconds_shown;
+    bitrate_weighted += s.declared_bitrate * s.seconds_shown;
+    report.time_by_height[s.resolution.height] += s.seconds_shown;
+  }
+  if (report.displayed_time > 0) {
+    report.average_declared_bitrate = bitrate_weighted / report.displayed_time;
+  }
+  report.low_quality_fraction =
+      report.fraction_at_or_below(options.low_quality_max_height);
+
+  for (std::size_t i = 1; i < report.displayed.size(); ++i) {
+    const int delta =
+        std::abs(report.displayed[i].level - report.displayed[i - 1].level);
+    if (delta > 0) ++report.switch_count;
+    if (delta > 1) ++report.nonconsecutive_switch_count;
+  }
+}
+
+}  // namespace
+
+double QoeReport::fraction_at_or_below(int height) const {
+  if (displayed_time <= 0) return 0;
+  Seconds below = 0;
+  for (const auto& [h, secs] : time_by_height) {
+    if (h <= height) below += secs;
+  }
+  return below / displayed_time;
+}
+
+QoeReport compute_qoe(const AnalyzedTraffic& traffic, const UiInference& ui,
+                      const QoeOptions& options) {
+  QoeReport report;
+  report.startup_delay = ui.startup_delay;
+  report.total_stall = ui.total_stall;
+  report.stall_count = static_cast<int>(ui.stalls.size());
+  infer_displayed(traffic, ui, report);
+  summarize(traffic, options, report);
+  return report;
+}
+
+QoeReport qoe_from_events(const player::PlayerEvents& events,
+                          const AnalyzedTraffic& traffic, Seconds session_end,
+                          const QoeOptions& options) {
+  QoeReport report;
+  report.startup_delay = events.startup_delay();
+  report.total_stall = events.total_stall_time(session_end);
+  report.stall_count = static_cast<int>(events.stalls.size());
+  for (std::size_t i = 0; i < events.displayed.size(); ++i) {
+    const player::DisplayEvent& e = events.displayed[i];
+    // Wall time is interrupted by stalls; displayed *media* seconds are the
+    // position delta to the next event (the last one shows its duration).
+    const Seconds next_position = i + 1 < events.displayed.size()
+                                      ? events.displayed[i + 1].position
+                                      : e.position + e.duration;
+    const Seconds shown = std::max(0.0, next_position - e.position);
+    if (shown <= 0) continue;
+    DisplayedSegment d;
+    d.index = e.index;
+    d.level = e.level;
+    d.declared_bitrate = e.declared_bitrate;
+    d.resolution = e.resolution;
+    d.seconds_shown = shown;
+    d.play_wall = e.wall_time;
+    report.displayed.push_back(d);
+  }
+  for (const player::ReplacementEvent& r : events.replacements) {
+    report.wasted_bytes += r.old_bytes;
+  }
+  summarize(traffic, options, report);
   return report;
 }
 

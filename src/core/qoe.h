@@ -5,7 +5,8 @@
 // duration, startup delay — plus the data-usage accounting the SR analysis
 // needs. compute_qoe() derives everything from the methodology's two
 // observation channels (traffic + UI); nothing reads player internals, so
-// the same code evaluates any service.
+// the same code evaluates any service. qoe_from_events() is its validation
+// reference: the same summary built from the player's own events.
 #pragma once
 
 #include <map>
@@ -14,6 +15,7 @@
 #include "common/units.h"
 #include "core/traffic_analyzer.h"
 #include "core/ui_monitor.h"
+#include "player/player.h"
 
 namespace vodx::core {
 
@@ -55,7 +57,12 @@ struct QoeReport {
 };
 
 QoeReport compute_qoe(const AnalyzedTraffic& traffic, const UiInference& ui,
-                      Seconds session_end, const QoeOptions& options = {});
+                      const QoeOptions& options = {});
+
+/// Ground-truth QoE computed from player events + the wire log.
+QoeReport qoe_from_events(const player::PlayerEvents& events,
+                          const AnalyzedTraffic& traffic, Seconds session_end,
+                          const QoeOptions& options = {});
 
 /// Scalar QoE score following the subjective-study shape the paper cites
 /// ([35], Liu et al.): bitrate utility is *concave* — going from 300 kbps to

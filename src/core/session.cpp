@@ -1,6 +1,5 @@
 #include "core/session.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "core/session_factory.h"
@@ -8,58 +7,6 @@
 #include "net/simulator.h"
 
 namespace vodx::core {
-
-QoeReport qoe_from_events(const player::PlayerEvents& events,
-                          const AnalyzedTraffic& traffic, Seconds session_end,
-                          const QoeOptions& options) {
-  QoeReport report;
-  report.startup_delay = events.startup_delay();
-  report.total_stall = events.total_stall_time(session_end);
-  report.stall_count = static_cast<int>(events.stalls.size());
-  report.total_bytes = traffic.total_payload_bytes;
-  for (const SegmentDownload& d : traffic.downloads) {
-    report.media_bytes += d.bytes;
-  }
-
-  // Displayed time per event: until the next display event (or session end).
-  double bitrate_weighted = 0;
-  for (std::size_t i = 0; i < events.displayed.size(); ++i) {
-    const player::DisplayEvent& e = events.displayed[i];
-    // Wall time is interrupted by stalls; displayed *media* seconds are the
-    // position delta to the next event.
-    const Seconds next_position = i + 1 < events.displayed.size()
-                                      ? events.displayed[i + 1].position
-                                      : e.position + e.duration;
-    const Seconds shown = std::max(0.0, next_position - e.position);
-    if (shown <= 0) continue;
-    DisplayedSegment d;
-    d.index = e.index;
-    d.level = e.level;
-    d.declared_bitrate = e.declared_bitrate;
-    d.resolution = e.resolution;
-    d.seconds_shown = shown;
-    d.play_wall = e.wall_time;
-    report.displayed.push_back(d);
-    report.displayed_time += shown;
-    bitrate_weighted += e.declared_bitrate * shown;
-    report.time_by_height[e.resolution.height] += shown;
-  }
-  if (report.displayed_time > 0) {
-    report.average_declared_bitrate = bitrate_weighted / report.displayed_time;
-  }
-  report.low_quality_fraction =
-      report.fraction_at_or_below(options.low_quality_max_height);
-  for (std::size_t i = 1; i < report.displayed.size(); ++i) {
-    const int delta =
-        std::abs(report.displayed[i].level - report.displayed[i - 1].level);
-    if (delta > 0) ++report.switch_count;
-    if (delta > 1) ++report.nonconsecutive_switch_count;
-  }
-  for (const player::ReplacementEvent& r : events.replacements) {
-    report.wasted_bytes += r.old_bytes;
-  }
-  return report;
-}
 
 namespace {
 

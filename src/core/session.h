@@ -107,12 +107,6 @@ struct SessionResult {
   Seconds session_end = 0;
 };
 
-/// Ground-truth QoE computed from player events + the wire log (validation
-/// reference for compute_qoe()).
-QoeReport qoe_from_events(const player::PlayerEvents& events,
-                          const AnalyzedTraffic& traffic, Seconds session_end,
-                          const QoeOptions& options = {});
-
 SessionResult run_session(const SessionConfig& config);
 
 }  // namespace vodx::core

@@ -120,8 +120,7 @@ SessionResult HostedSession::finish(Seconds session_end) {
     result.traffic.total_payload_bytes = proxy_.log().total_bytes();
   }
   result.ui = ui_monitor_.infer(result.events.session_start);
-  result.qoe =
-      compute_qoe(result.traffic, result.ui, session_end, qoe_options_);
+  result.qoe = compute_qoe(result.traffic, result.ui, qoe_options_);
   result.buffer = infer_buffer(result.traffic, result.ui, session_end);
   result.ground_truth =
       qoe_from_events(result.events, result.traffic, session_end,

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "obs/profiler.h"
-
 namespace vodx::http {
 
 bool Proxy::is_manifest_content(const std::string& content_type) {
@@ -18,7 +16,6 @@ void Proxy::use(InterceptorPtr interceptor) {
 }
 
 Response Proxy::resolve(const Request& request, Seconds now) const {
-  VODX_PROFILE_ZONE("http.resolve");
   Response response;
   bool short_circuited = false;
   for (const auto& interceptor : chain_) {

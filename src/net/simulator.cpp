@@ -4,7 +4,6 @@
 
 #include "common/error.h"
 #include "common/strings.h"
-#include "obs/profiler.h"
 
 namespace vodx::net {
 
@@ -105,7 +104,6 @@ Seconds Simulator::earliest_wake() {
 }
 
 void Simulator::run_until(Seconds end) {
-  VODX_PROFILE_ZONE("sim.run");
   // The wall clock is consulted only when a budget is armed, and only to
   // abort — it never influences the simulated timeline, so watchdog-free
   // runs remain bit-for-bit deterministic.

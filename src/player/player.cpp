@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "obs/profiler.h"
 
 namespace vodx::player {
 
@@ -623,7 +622,6 @@ bool Player::try_issue_video_fetch() {
 }
 
 int Player::select_video_level_for(int next_index) {
-  VODX_PROFILE_ZONE("abr.decide");
   AbrContext context;
   context.presentation = &presentation_;
   context.bandwidth_estimate = estimator_.estimate();

@@ -14,7 +14,6 @@
 #include "diag/cause.h"
 #include "net/link.h"
 #include "obs/observer.h"
-#include "obs/profiler.h"
 #include "player/player.h"
 #include "pop/pop_timeline.h"
 #include "services/content_factory.h"
@@ -144,7 +143,6 @@ namespace {
 
 TowerReport run_tower(const PopulationConfig& config, int tower_index,
                       const std::vector<services::ServiceSpec>& pool) {
-  VODX_PROFILE_ZONE("pop.tower");
   const int profile_id =
       config.towers[static_cast<std::size_t>(tower_index)];
   core::SessionFactory::validate_profile(profile_id);

@@ -83,7 +83,7 @@ TEST(AnalysisScaling, DayLongSessionIsAnalyzedInLinearTime) {
   EXPECT_GT(buffer[kDay / 2].video_buffer, 0);
   EXPECT_GT(buffer[kDay / 2].audio_buffer, 0);
 
-  const QoeReport qoe = compute_qoe(c.traffic, c.ui, c.session_end);
+  const QoeReport qoe = compute_qoe(c.traffic, c.ui);
   EXPECT_GT(qoe.displayed.size(), static_cast<std::size_t>(kDay - 400));
   EXPECT_GT(qoe.switch_count, 0);
   EXPECT_GT(qoe.wasted_bytes, 0);

@@ -141,7 +141,7 @@ void expect_same_report(const QoeReport& got, const QoeReport& want) {
 TEST(Qoe, HandBuiltCasesMatchTheRescanningReference) {
   for (const vodx::testing::AnalysisCase& c : vodx::testing::analysis_cases()) {
     SCOPED_TRACE(c.name);
-    expect_same_report(compute_qoe(c.traffic, c.ui, c.session_end),
+    expect_same_report(compute_qoe(c.traffic, c.ui),
                        reference_compute_qoe(c.traffic, c.ui));
   }
 }
@@ -150,7 +150,7 @@ TEST(Qoe, RandomSessionsMatchTheRescanningReference) {
   for (std::uint64_t seed = 0; seed < 300; ++seed) {
     const vodx::testing::AnalysisCase c = vodx::testing::random_case(seed);
     SCOPED_TRACE(c.name);
-    expect_same_report(compute_qoe(c.traffic, c.ui, c.session_end),
+    expect_same_report(compute_qoe(c.traffic, c.ui),
                        reference_compute_qoe(c.traffic, c.ui));
   }
 }
@@ -161,10 +161,62 @@ TEST(Qoe, FirstDownloadInOrderWinsATiedCompletion) {
     return c.name == "tied_duplicate_renditions";
   });
   ASSERT_NE(it, cases.end());
-  const QoeReport report = compute_qoe(it->traffic, it->ui, it->session_end);
+  const QoeReport report = compute_qoe(it->traffic, it->ui);
   ASSERT_GE(report.displayed.size(), 3u);
   EXPECT_EQ(report.displayed[1].level, 2);  // listed first of three at 5 s
   EXPECT_EQ(report.displayed[2].level, 1);
+}
+
+TEST(Qoe, GroundTruthFromHandBuiltEvents) {
+  const media::Resolution p360{640, 360};
+  const media::Resolution p480{854, 480};
+  const media::Resolution p720{1280, 720};
+  player::PlayerEvents events;
+  events.session_start = 10;
+  events.playback_started = 12;
+  events.stalls = {{20, 23}, {50, -1}};  // the second is still open at 60 s
+  // {wall, position, index, level, bitrate, resolution, duration}
+  events.displayed = {
+      {12, 0, 0, 0, 500e3, p360, 4},
+      {16, 4, 1, 1, 1e6, p480, 4},
+      {20, 8, 2, 3, 3e6, p720, 4},  // seek back to 2 s: never shown
+      {25, 2, 0, 3, 3e6, p720, 4},
+      {28, 5, 1, 2, 2e6, p720, 2.5},  // last: shown for its own duration
+  };
+  events.replacements = {{30, 3, 1, 2, 1000}, {40, 4, 0, 2, 2500}};
+
+  AnalyzedTraffic traffic;
+  traffic.total_payload_bytes = 100000;
+  traffic.downloads.resize(2);
+  traffic.downloads[0].bytes = 30000;
+  traffic.downloads[1].bytes = 20000;
+  traffic.downloads[1].aborted = true;
+
+  const QoeReport report = qoe_from_events(events, traffic, 60);
+  EXPECT_EQ(report.startup_delay, 2);
+  EXPECT_EQ(report.total_stall, 13);
+  EXPECT_EQ(report.stall_count, 2);
+
+  ASSERT_EQ(report.displayed.size(), 4u);
+  const int levels[] = {0, 1, 3, 2};
+  const Seconds shown[] = {4, 4, 3, 2.5};
+  const Seconds walls[] = {12, 16, 25, 28};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(report.displayed[i].level, levels[i]) << "displayed " << i;
+    EXPECT_EQ(report.displayed[i].seconds_shown, shown[i]) << "displayed " << i;
+    EXPECT_EQ(report.displayed[i].play_wall, walls[i]) << "displayed " << i;
+  }
+  EXPECT_EQ(report.displayed_time, 13.5);
+  EXPECT_EQ(report.average_declared_bitrate, 20e6 / 13.5);
+  const std::map<int, Seconds> by_height = {{360, 4}, {480, 4}, {720, 5.5}};
+  EXPECT_EQ(report.time_by_height, by_height);
+  EXPECT_EQ(report.low_quality_fraction, 8 / 13.5);
+  EXPECT_EQ(report.switch_count, 3);                 // 0->1, 1->3, 3->2
+  EXPECT_EQ(report.nonconsecutive_switch_count, 1);  // 1->3
+
+  EXPECT_EQ(report.wasted_bytes, 3500);  // replacements only, not aborts
+  EXPECT_EQ(report.media_bytes, 50000);  // aborted transfers included
+  EXPECT_EQ(report.total_bytes, 100000);
 }
 
 SessionResult run_qoe_session(Bps bandwidth, Seconds duration = 180,
